@@ -13,14 +13,14 @@ from __future__ import annotations
 import sys
 
 from repro.gpu import SimOptions, simulate_network
-from repro.platforms import get_platform
+from repro.platforms import make_config
 from repro.power import GpuWattchModel
 from repro.profiling.nvprof import format_profile, profiles_from_result
 
 
 def main() -> None:
     network = sys.argv[1] if len(sys.argv) > 1 else "cifarnet"
-    platform = get_platform(sys.argv[2] if len(sys.argv) > 2 else "gp102")
+    platform = make_config(sys.argv[2] if len(sys.argv) > 2 else "gp102")
     print(f"profiling {network} on {platform.name} ...")
     result = simulate_network(network, platform, SimOptions().light())
     model = GpuWattchModel(platform)

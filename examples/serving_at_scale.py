@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from repro.gpu.config import SimOptions
-from repro.platforms import get_platform
+from repro.platforms import make_config
 from repro.runs import ResultStore
 from repro.serve import build_profiles, load_scenario, run_serve
 
@@ -42,7 +42,7 @@ def main() -> None:
 
     print("building latency profiles (cached after the first run)...")
     platforms = [device.platform for device in fleet]
-    platforms.append(get_platform(scenario.autoscale.template))
+    platforms.append(make_config(scenario.autoscale.template))
     profiles = build_profiles(
         list(scenario.networks), platforms, SimOptions().light(), ResultStore(),
     )

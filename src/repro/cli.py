@@ -49,8 +49,10 @@ Subcommands:
     serving run and write it as Chrome-trace-event JSON — load the file
     in https://ui.perfetto.dev.  ``trace simulate`` re-simulates the
     named networks (default: alexnet) so GPU kernel and warp-phase
-    spans are always captured; ``trace serve`` accepts the full ``repro
-    serve`` option set and additionally captures request/batch/queue
+    spans are always captured (``--l1-kb 0,64,128,256`` sweeps the L1D
+    through one executor, so kernels whose wave another size served
+    trace with ``source="l1_reuse"``); ``trace serve`` accepts the full
+    ``repro serve`` option set and additionally captures request/batch/queue
     spans.  ``--output PATH`` names the artifact, ``--no-warps`` drops
     the (voluminous) per-warp stall phases, ``--max-events N`` bounds
     trace memory (overflow is counted, never silent).
@@ -551,6 +553,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _kb_list(text: str) -> list[int]:
+    """``"0,64,128"`` -> ``[0, 64, 128]`` (argparse type for ``--l1-kb``)."""
+    try:
+        sizes = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated KB, got {text!r}")
+    if any(kb < 0 for kb in sizes):
+        raise argparse.ArgumentTypeError("L1D sizes must be non-negative")
+    return sizes
+
+
 def _trace_tracer(args: argparse.Namespace):
     from repro.obs import Tracer
 
@@ -577,7 +590,7 @@ def _cmd_trace_simulate(args: argparse.Namespace) -> int:
     err = _check_networks(names)
     if err is not None:
         return err
-    config = make_config(args.platform)
+    configs = [make_config(args.platform, l1_kb=kb) for kb in args.l1_kb or [None]]
     options = _sim_options(args)
     store = None if args.no_cache else ResultStore(args.cache_dir)
     tracer = _trace_tracer(args)
@@ -585,15 +598,17 @@ def _cmd_trace_simulate(args: argparse.Namespace) -> int:
     try:
         executor = Executor(store)
         for name in names:
-            # refresh=True: re-simulate even on a warm store so the
-            # trace always contains live GPU spans.
-            executor.run(RunSpec(name, config, options), refresh=True)
+            for config in configs:
+                # refresh=True: re-simulate even on a warm store so the
+                # trace always contains live GPU spans.
+                executor.run(RunSpec(name, config, options), refresh=True)
     finally:
         set_tracer(previous)
     payload = write_trace(tracer, args.output, meta={
         "command": "trace simulate",
         "networks": names,
-        "platform": config.name,
+        "platform": configs[0].name,
+        "l1_kb": args.l1_kb,
         "scheduler": args.scheduler,
         "fidelity": "light" if _light_requested(args) else "default",
     })
@@ -1169,6 +1184,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_sim.add_argument("networks", nargs="*",
                            help="network names (default: alexnet)")
+    trace_sim.add_argument("--l1-kb", type=_kb_list, default=None, metavar="KB[,KB...]",
+                           help="L1D sizes to sweep, in KB (default: the "
+                                "platform's own)")
     _add_sim_args(trace_sim)
     _add_trace_args(trace_sim, "trace-simulate.json")
     trace_sim.set_defaults(func=_cmd_trace_simulate)

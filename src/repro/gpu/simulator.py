@@ -27,12 +27,18 @@ the canonical identities of :mod:`repro.analysis.canonical`:
 ``dedup=False`` disables both levels (every launch simulates from
 scratch); ``tests/test_engine_equivalence.py`` pins that the two modes
 are bit-identical on every suite network.
+
+A third level spans calls: an :class:`L1Memo` (owned by the run
+executor) lets a wave that never evicted an L1 line serve the same
+launch at every other non-zero L1D size its footprint fits, since the
+wave then replays bit-identically there (DESIGN.md section 8).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import pickle
+from dataclasses import dataclass, field, replace
 
 from repro.gpu import engine as engine_registry
 from repro.gpu.config import GpuConfig, SimOptions
@@ -42,7 +48,8 @@ from repro.isa.program import expand_program
 from repro.kernels.compile import compiled_network
 from repro.kernels.launch import KernelLaunch
 from repro.kernels.program_builder import build_guard_program
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.cache import Cache
+from repro.memory.hierarchy import L1_ASSOC, LINE_BYTES, MemoryHierarchy
 from repro.obs.tracer import CYCLES, get_tracer
 from repro.profiling.stats import KernelStats
 
@@ -157,18 +164,31 @@ class _WaveRun:
     system.  Instances are immutable by convention — scaling always
     operates on a copy — so one ``_WaveRun`` can back every launch of a
     :func:`~repro.analysis.canonical.wave_class`.
+
+    With *keep_l1_lines*, ``l1_lines`` is the L1 footprint (packed line
+    numbers) if the L1 was enabled and never evicted: the precondition
+    for serving other L1D sizes from this run (:class:`L1Memo`).
+    Otherwise it is None.
     """
 
     __slots__ = (
         "stats", "n_expanded",
         "l1_accesses", "l1_misses", "l2_accesses", "l2_misses",
         "dram_bytes", "load_transactions", "store_transactions",
-        "shared_accesses", "const_accesses",
+        "shared_accesses", "const_accesses", "l1_lines",
     )
 
-    def __init__(self, stats: KernelStats, n_expanded: int, hierarchy: MemoryHierarchy):
+    def __init__(
+        self, stats: KernelStats, n_expanded: int, hierarchy: MemoryHierarchy,
+        keep_l1_lines: bool = False,
+    ):
         self.stats = stats
         self.n_expanded = n_expanded
+        l1 = hierarchy.l1
+        self.l1_lines = (
+            l1.resident_tags() if keep_l1_lines and l1.enabled and not l1.evictions
+            else None
+        )
         self.l1_accesses = hierarchy.l1.stats.accesses
         self.l1_misses = hierarchy.l1.stats.misses
         self.l2_accesses = hierarchy.l2.stats.accesses
@@ -180,8 +200,65 @@ class _WaveRun:
         self.const_accesses = hierarchy.const_accesses
 
 
+class L1Memo:
+    """Eviction-free resident-wave runs, reusable across L1D sizes.
+
+    If a wave's L1 never evicted, every L1 probe — load fill, store
+    lookup, MSHR miss pre-count — hit exactly when its line had been
+    filled earlier in the wave.  At any other non-zero L1D size whose
+    sets each receive at most ``assoc`` of the wave's resident lines
+    (:meth:`repro.memory.cache.Cache.holds`), the same probes see the
+    same hits, nothing evicts, and the L1, L2, MSHR and DRAM streams
+    replay bit-identically; DESIGN.md section 8 gives the argument.
+
+    Entries are keyed by the launch signature, the config with
+    ``l1_size`` zeroed, the options and the active engine — never by a
+    wave-class tuple, which would pin the canonical program in memory.
+    Each entry is its run pickled into one bytes object: a live
+    ``_WaveRun`` is some thirty small objects (stats, counters, floats),
+    and holding those for a whole L1D sweep raised its peak RSS by
+    about 1.6 MB, where the pickled entries leave it flat.  One memo
+    lives as long as its owner (an :class:`~repro.runs.executor.Executor`
+    or one parallel chunk); a bypassed (0 KB) L1 neither records nor
+    reuses, and ``simulate_network(dedup=False)`` never consults it.
+    """
+
+    __slots__ = ("_runs", "reused")
+
+    def __init__(self) -> None:
+        self._runs: dict[tuple, bytes] = {}
+        #: Waves served from a run at another L1D size.
+        self.reused = 0
+
+    @staticmethod
+    def key(kernel: KernelLaunch, config: GpuConfig, options: SimOptions) -> tuple:
+        """Memo key of one launch: everything a wave reads but the L1D size."""
+        return (
+            kernel.signature(), replace(config, l1_size=0), options,
+            engine_registry.get_engine(),
+        )
+
+    def get(self, key: tuple, config: GpuConfig) -> _WaveRun | None:
+        """A recorded run that replays exactly under *config*'s L1D."""
+        entry = self._runs.get(key)
+        if entry is None or not config.l1_size:
+            return None
+        run = pickle.loads(entry)
+        if not Cache.holds(run.l1_lines, config.l1_size, LINE_BYTES, L1_ASSOC):
+            return None
+        self.reused += 1
+        return run
+
+    def put(self, key: tuple, run: _WaveRun) -> None:
+        """Record *run* if its L1 never evicted.  Every eviction-free run
+        of one key is the same replay, so the first one is kept."""
+        if run.l1_lines is not None and key not in self._runs:
+            self._runs[key] = pickle.dumps(run, pickle.HIGHEST_PROTOCOL)
+
+
 def _run_wave(
-    kernel: KernelLaunch, config: GpuConfig, options: SimOptions, sim_blocks: int
+    kernel: KernelLaunch, config: GpuConfig, options: SimOptions, sim_blocks: int,
+    keep_l1_lines: bool = False,
 ) -> _WaveRun:
     """Expand, decode and execute one resident wave on one SM.
 
@@ -199,7 +276,7 @@ def _run_wave(
     if kernel.shared_input and kernel.total_blocks > sim_blocks:
         wave.warm_shared_input()
     stats = wave.run()
-    return _WaveRun(stats, len(expanded), hierarchy)
+    return _WaveRun(stats, len(expanded), hierarchy, keep_l1_lines)
 
 
 def simulate_kernel(
@@ -207,6 +284,7 @@ def simulate_kernel(
     config: GpuConfig,
     options: SimOptions | None = None,
     _wave_cache: dict | None = None,
+    _l1_memo: L1Memo | None = None,
 ) -> KernelResult:
     """Simulate one kernel launch and scale to the full grid.
 
@@ -214,7 +292,9 @@ def simulate_kernel(
     :func:`~repro.analysis.canonical.wave_class` keys to :class:`_WaveRun`
     records so launches in the same class run the SM issue loop once.
     The cache is only valid for a fixed ``(config, options)`` pair —
-    callers own that scoping.
+    callers own that scoping.  *_l1_memo* (internal) is consulted when
+    the wave cache misses and records eviction-free runs; it scopes
+    itself by key, so one memo serves any mix of configs and options.
 
     When the seed engine is active (``REPRO_ENGINE=seed`` or
     ``--engine seed``), the call delegates to the frozen seed driver
@@ -239,7 +319,20 @@ def simulate_kernel(
         wave_key = wave_class(kernel, sim_blocks, warm)
         run = _wave_cache.get(wave_key)
     if run is None:
-        run = _run_wave(kernel, config, options, sim_blocks)
+        memo_key = None
+        if _l1_memo is not None and config.l1_size:
+            memo_key = _l1_memo.key(kernel, config, options)
+            run = _l1_memo.get(memo_key, config)
+            if run is not None:
+                tracer = get_tracer()
+                if tracer.enabled:
+                    tracer.metrics.counter("gpu.wave_l1_reused").inc()
+        if run is None:
+            run = _run_wave(
+                kernel, config, options, sim_blocks, keep_l1_lines=memo_key is not None
+            )
+            if memo_key is not None:
+                _l1_memo.put(memo_key, run)
         if _wave_cache is not None:
             _wave_cache[wave_key] = run
 
@@ -292,6 +385,7 @@ def simulate_network(
     options: SimOptions | None = None,
     cache=None,
     dedup: bool = True,
+    l1_memo: L1Memo | None = None,
 ) -> NetworkResult:
     """Simulate every kernel of the named suite network, in order.
 
@@ -309,6 +403,10 @@ def simulate_network(
     The default (no persistent cache) leaves library behaviour
     unchanged; the ``repro simulate`` CLI and the run pipeline opt in.
 
+    *l1_memo*, when given with *dedup*, is an :class:`L1Memo` shared
+    across calls: a kernel whose wave it serves from another L1D size
+    traces with ``source="l1_reuse"``.
+
     When the seed engine is active the call delegates wholesale to
     :func:`repro.gpu.seed_engine.simulate_network` (which ignores
     *cache* and *dedup* — the frozen driver predates both and always
@@ -323,6 +421,8 @@ def simulate_network(
     result = NetworkResult(network=name, config=config, options=options)
     local: dict[str, KernelResult] = {}
     wave_cache: dict | None = {} if dedup else None
+    if not dedup:
+        l1_memo = None
     seen: set[str] = set()
     requested = 0
     offset = 0.0  # back-to-back network timeline position, in cycles
@@ -343,8 +443,11 @@ def simulate_network(
                     block_factor=entry.block_factor,
                 )
             else:
-                source = "fresh"
-                hit = simulate_kernel(kernel, config, options, _wave_cache=wave_cache)
+                reused = l1_memo.reused if l1_memo is not None else 0
+                hit = simulate_kernel(
+                    kernel, config, options, _wave_cache=wave_cache, _l1_memo=l1_memo
+                )
+                source = "l1_reuse" if l1_memo and l1_memo.reused > reused else "fresh"
                 if cache is not None:
                     cache.put(
                         signature, config, options,

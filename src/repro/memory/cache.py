@@ -32,11 +32,28 @@ class CacheStats:
         self.misses += other.misses
 
 
+def _geometry(size_bytes: int, line_bytes: int, assoc: int) -> tuple[int, int]:
+    """``(n_sets, index_shift)`` of a cache geometry (0 sets = bypassed)."""
+    n_lines = size_bytes // line_bytes
+    n_sets = max(1, n_lines // assoc) if n_lines else 0
+    return n_sets, max(1, n_sets.bit_length() - 1)
+
+
+def _set_index(line, index_shift: int, n_sets: int):
+    """Hashed set index (XOR-folded), as GPU caches use to avoid
+    pathological conflicts on power-of-two strides — e.g. the 4 KB-apart
+    weight rows of a fully-connected layer.  Works elementwise on numpy
+    arrays too; the hot paths below inline the same expression."""
+    return (line ^ (line >> index_shift)) % n_sets
+
+
 class Cache:
     """A set-associative LRU tag store.
 
     A ``size_bytes`` of 0 models a bypassed cache: every access misses
     and nothing is allocated (the paper's "No L1" configuration).
+    ``evictions`` counts lines displaced by allocations (never sampled
+    or weighted: it is a structural count, not a traffic statistic).
     """
 
     def __init__(
@@ -50,23 +67,39 @@ class Cache:
         self.size_bytes = size_bytes
         self.line_bytes = line_bytes
         self.assoc = max(1, assoc)
-        n_lines = size_bytes // line_bytes
-        self.n_sets = max(1, n_lines // self.assoc) if n_lines else 0
+        self.n_sets, self._index_shift = _geometry(size_bytes, line_bytes, self.assoc)
         # Each set is an LRU-ordered dict of tags (most recent last):
         # insertion order is the recency order, membership is O(1), and
         # evicting the first key equals popping an LRU list's head.
         self._sets: list[dict[int, None]] = [{} for _ in range(self.n_sets)]
-        self._index_shift = max(1, self.n_sets.bit_length() - 1)
         # line_bytes is a power of two (checked above): tag extraction
         # is a shift, measurably cheaper than division on the hot path.
         self._line_shift = line_bytes.bit_length() - 1
         self.stats = CacheStats()
+        self.evictions = 0
 
-    def _set_index(self, line: int) -> int:
-        """Hashed set index (XOR-folded), as GPU caches use to avoid
-        pathological conflicts on power-of-two strides — e.g. the
-        4 KB-apart weight rows of a fully-connected layer."""
-        return (line ^ (line >> self._index_shift)) % self.n_sets
+    @staticmethod
+    def holds(lines, size_bytes: int, line_bytes: int = 128, assoc: int = 8) -> bool:
+        """Would a fresh cache of this geometry take the distinct line
+        numbers *lines* without evicting one?
+
+        True exactly when no set receives more than ``assoc`` of them
+        under this geometry's XOR-folded index — then any replay of
+        *lines*, in any order and with repeats, leaves
+        :attr:`evictions` at 0.  A bypassed geometry holds no line.
+        Computed from the geometry alone: no cache is allocated.  The
+        lines must be distinct (a footprint is), so one ``bincount``
+        does; deduplicating with ``np.unique`` would also import
+        ``numpy.ma``, about 0.7 MB of resident memory.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
+        assoc = max(1, assoc)
+        n_sets, shift = _geometry(size_bytes, line_bytes, assoc)
+        if not n_sets:
+            return len(lines) == 0
+        if len(lines) <= assoc:
+            return True
+        return int(np.bincount(_set_index(lines, shift, n_sets)).max()) <= assoc
 
     @property
     def enabled(self) -> bool:
@@ -100,6 +133,7 @@ class Cache:
         if allocate:
             if len(entry) >= self.assoc:
                 del entry[next(iter(entry))]
+                self.evictions += 1
             entry[tag] = None
         return False
 
@@ -125,6 +159,7 @@ class Cache:
         shift = self._index_shift
         sets = self._sets
         assoc = self.assoc
+        evictions = 0
         for addr in addrs:
             stats.accesses += weight
             addr = int(addr)
@@ -138,8 +173,10 @@ class Cache:
                 stats.misses += weight
                 if len(entry) >= assoc:
                     del entry[next(iter(entry))]
+                    evictions += 1
                 entry[tag] = None
                 missed.append(addr)
+        self.evictions += evictions
         return missed
 
     def bulk_warm(self, addrs) -> tuple[int, int]:
@@ -183,6 +220,7 @@ class Cache:
                 else:
                     if len(entry) >= assoc:
                         del entry[next(iter(entry))]
+                        self.evictions += 1
                     entry[tag] = None
             return 0, len(touched)
         arr = np.asarray(addrs, dtype=np.int64)
@@ -222,6 +260,7 @@ class Cache:
                 else:
                     if len(entry) >= assoc:
                         del entry[next(iter(entry))]
+                        self.evictions += 1
                     entry[tag] = None
         return fast, len(overflow)
 
@@ -271,3 +310,10 @@ class Cache:
     def resident_lines(self) -> int:
         """Number of lines currently allocated."""
         return sum(len(entry) for entry in self._sets)
+
+    def resident_tags(self) -> np.ndarray:
+        """Line numbers currently allocated, packed (set order, LRU first)."""
+        return np.fromiter(
+            (tag for entry in self._sets for tag in entry),
+            dtype=np.int64, count=self.resident_lines(),
+        )

@@ -17,6 +17,8 @@ from repro.memory.mshr import MshrFile
 
 #: Transaction/line size in bytes, matching the coalescer granularity.
 LINE_BYTES = 128
+#: L1D associativity (the L1D size sweeps; its geometry does not).
+L1_ASSOC = 4
 
 
 class MemoryHierarchy:
@@ -27,7 +29,7 @@ class MemoryHierarchy:
         l1_size: int,
         l2_size: int,
         mshr_entries: int = 32,
-        l1_assoc: int = 4,
+        l1_assoc: int = L1_ASSOC,
         l2_assoc: int = 16,
         lat_l1: int = 28,
         lat_l2: int = 270,

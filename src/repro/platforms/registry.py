@@ -20,16 +20,9 @@ FPGAs and NPUs list, resolve and sweep through one surface:
 * :func:`make_config` — name -> frozen execution config, with
   per-platform overrides (``l1_kb`` for the Figure 2 sweep);
 * :func:`list_platforms` — all names, optionally filtered by kind.
-
-The pre-protocol lookup functions — :func:`get_platform` and
-:func:`resolve_platform` — remain as :class:`DeprecationWarning` shims
-for one release; in-repo callers are migrated and the test suite
-promotes any repro-originated use to an error.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.gpu.config import GpuConfig
 from repro.platforms.accel import (
@@ -174,27 +167,3 @@ def unregister_platform(name: str) -> None:
     if key in _BUILTIN:
         raise ValueError(f"cannot unregister built-in platform {name!r}")
     _REGISTRY.pop(key, None)
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-protocol surface (delete next release)
-# ----------------------------------------------------------------------
-def get_platform(name: str):
-    """Deprecated: use :func:`make_config` (or :func:`platform`)."""
-    warnings.warn(
-        "get_platform() is deprecated; use make_config(name) for the "
-        "execution config or platform(name) for the capability object",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_config(name)
-
-
-def resolve_platform(name: str, l1_kb: int | None = None):
-    """Deprecated: use ``make_config(name, l1_kb=...)``."""
-    warnings.warn(
-        "resolve_platform() is deprecated; use make_config(name, l1_kb=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_config(name, l1_kb=l1_kb)

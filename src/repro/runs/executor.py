@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.gpu.config import GpuConfig
+from repro.gpu.simulator import L1Memo
 from repro.obs.tracer import WALL_S, get_tracer
 from repro.runs.planner import Plan
 from repro.runs.spec import RunSpec
@@ -86,13 +87,16 @@ class Executor:
     """Cached, parallelizable runner of :class:`RunSpec` simulations.
 
     ``store=None`` keeps results in memory only (no disk IO) — used by
-    ``--no-cache`` runs and unit tests.
+    ``--no-cache`` runs and unit tests.  The executor owns one
+    :class:`~repro.gpu.simulator.L1Memo`, so its fresh runs at different
+    L1D sizes share eviction-free wave simulations.
     """
 
     def __init__(self, store: ResultStore | None = None, verbose: bool = False) -> None:
         self.store = store
         self.verbose = verbose
         self._memory: dict[str, StoredNetworkResult] = {}
+        self.l1_memo = L1Memo()
         #: Fresh simulations performed through this executor.
         self.fresh = 0
         #: Lookups served from memory or the store.
@@ -136,7 +140,7 @@ class Executor:
         if self.verbose:
             print(f"[run] simulating {spec.describe()}", flush=True)
         sim_start = tracer.wall()
-        payload = _simulate_spec(spec, self.store)
+        payload = _simulate_spec(spec, self.store, self.l1_memo)
         if tracer.enabled:
             tracer.span(
                 f"simulate {spec.network}", "run", WALL_S,
@@ -235,13 +239,7 @@ class Executor:
         batch.  Returns ``key -> failure message``.
         """
         cache_dir = None if self.store is None else self.store.cache_dir
-        chunk_size = max(
-            1, min(CHUNK_MAX_SPECS, math.ceil(len(pending) / (jobs * CHUNKS_PER_JOB)))
-        )
-        chunks = [
-            pending[i:i + chunk_size]
-            for i in range(0, len(pending), chunk_size)
-        ]
+        chunks = chunk_specs(pending, jobs)
         failed: dict[str, str] = {}
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             futures = [
@@ -269,18 +267,51 @@ class Executor:
         return failed
 
 
-#: Upper bound on specs per worker task.
+#: Upper bound on specs per worker task (an L1D-size group that is
+#: larger still gets a task of its own).
 CHUNK_MAX_SPECS = 16
 #: Target number of tasks per worker (keeps the pool load-balanced
 #: when per-spec cost varies, e.g. resnet vs gru).
 CHUNKS_PER_JOB = 4
 
 
+def _l1_group(spec: RunSpec):
+    """What a spec shares with the specs it differs from only in L1D size."""
+    config = spec.config
+    if isinstance(config, GpuConfig):
+        config = replace(config, l1_size=0)
+    return spec.network, config, spec.options
+
+
+def chunk_specs(pending: Sequence[RunSpec], jobs: int) -> list[list[RunSpec]]:
+    """Split *pending* into worker tasks without splitting an L1D sweep.
+
+    Specs that differ only in ``l1_size`` land in one chunk, so the
+    chunk's :class:`~repro.gpu.simulator.L1Memo` can serve one size's
+    waves from another's.  Groups keep their first-appearance order and
+    are packed whole, in order, into chunks of about the target size.
+    """
+    if not pending:
+        return []
+    target = max(
+        1, min(CHUNK_MAX_SPECS, math.ceil(len(pending) / (jobs * CHUNKS_PER_JOB)))
+    )
+    groups: dict[tuple, list[RunSpec]] = {}
+    for spec in pending:
+        groups.setdefault(_l1_group(spec), []).append(spec)
+    chunks: list[list[RunSpec]] = [[]]
+    for group in groups.values():
+        if chunks[-1] and len(chunks[-1]) + len(group) > target:
+            chunks.append([])
+        chunks[-1].extend(group)
+    return chunks
+
+
 def _failure_message(spec: RunSpec, exc: Exception) -> str:
     return f"{spec.describe()}: {type(exc).__name__}: {exc}"
 
 
-def _simulate_spec(spec: RunSpec, store: ResultStore | None) -> dict:
+def _simulate_spec(spec: RunSpec, store: ResultStore | None, l1_memo: L1Memo) -> dict:
     """One full network run, as a JSON-ready payload.
 
     GPU configs go through the cycle-level simulator; accelerator
@@ -294,27 +325,25 @@ def _simulate_spec(spec: RunSpec, store: ResultStore | None) -> dict:
     from repro.gpu.simulator import simulate_network
 
     cache = store.kernels if store is not None else None
-    live = simulate_network(spec.network, spec.config, spec.options, cache=cache)
+    live = simulate_network(
+        spec.network, spec.config, spec.options, cache=cache, l1_memo=l1_memo
+    )
     return result_to_payload(live)
-
-
-def _simulate_spec_worker(spec: RunSpec, cache_dir) -> dict:
-    """Module-level (picklable) worker: simulate via a private store."""
-    store = ResultStore(cache_dir) if cache_dir is not None else None
-    return _simulate_spec(spec, store)
 
 
 def _simulate_chunk_worker(specs: Sequence[RunSpec], cache_dir) -> list[tuple]:
     """Simulate a chunk of specs, catching per-spec failures.
 
     Returns one ``(payload, None)`` or ``(None, "ErrType: message")``
-    pair per spec, aligned with the input order.
+    pair per spec, aligned with the input order.  The chunk's specs
+    share one :class:`~repro.gpu.simulator.L1Memo`.
     """
     store = ResultStore(cache_dir) if cache_dir is not None else None
+    l1_memo = L1Memo()
     outcomes: list[tuple] = []
     for spec in specs:
         try:
-            outcomes.append((_simulate_spec(spec, store), None))
+            outcomes.append((_simulate_spec(spec, store, l1_memo), None))
         except Exception as exc:
             outcomes.append((None, f"{type(exc).__name__}: {exc}"))
     return outcomes

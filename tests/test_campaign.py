@@ -276,10 +276,10 @@ class TestRunCampaign:
 
         real = executor_mod._simulate_spec
 
-        def boom(spec, store):
+        def boom(spec, *args):
             if spec.network == "gru":
                 raise RuntimeError("injected")
-            return real(spec, store)
+            return real(spec, *args)
 
         monkeypatch.setattr(executor_mod, "_simulate_spec", boom)
         spec = campaign_from_dict(spec_dict(batch=[1, 4]))

@@ -2,8 +2,7 @@
 
 Every registered platform — GPU, FPGA or NPU — must expose the same
 surface (``name``, ``kind``, ``memory_budget()``, ``compute_budget()``,
-``make_config()``); the deprecated pre-protocol lookups must still work
-behind a :class:`DeprecationWarning`.
+``make_config()``); the deprecated pre-protocol lookups are gone.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ from repro.platforms import (
     KINDS,
     S2NPU,
     Platform,
-    get_platform,
     list_platforms,
     make_config,
     platform,
     register_platform,
-    resolve_platform,
     unregister_platform,
 )
 from repro.platforms.accel import AcceleratorConfig
@@ -117,20 +114,16 @@ class TestRegistration:
 
 
 class TestDeprecatedShims:
-    def test_get_platform_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="get_platform"):
-            config = get_platform("gp102")
-        assert config is GP102
+    @pytest.mark.parametrize("name", ["get_platform", "resolve_platform"])
+    def test_deprecated_lookups_are_gone(self, name):
+        import repro.platforms
+        import repro.platforms.registry
 
-    def test_resolve_platform_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="resolve_platform"):
-            config = resolve_platform("gp102", l1_kb=128)
-        assert config.l1_size == 128 * 1024
-
-    def test_shims_reach_accelerators_too(self):
-        with pytest.warns(DeprecationWarning):
-            config = get_platform("s2npu")
-        assert config is S2NPU
+        assert not hasattr(repro.platforms, name)
+        assert not hasattr(repro.platforms.registry, name)
+        assert name not in repro.platforms.__all__
+        with pytest.raises(ImportError):
+            exec(f"from repro.platforms import {name}", {})
 
     def test_no_in_repo_callers_of_deprecated_api(self):
         """The engine/campaign/serve layers must be migrated: resolving

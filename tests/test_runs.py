@@ -139,13 +139,41 @@ class TestExecutor:
         from repro.runs import executor as executor_mod
 
         # 2 pending specs at jobs=2 -> ceil(2/8)=1 spec per chunk; the
-        # chunk math must never produce an empty or oversize chunk.
+        # chunking must never produce an empty or oversize chunk, nor
+        # drop, duplicate or reorder specs that share no L1D sweep.
         for pending, jobs in ((2, 2), (100, 4), (1, 8)):
-            chunk = max(1, min(
-                executor_mod.CHUNK_MAX_SPECS,
-                -(-pending // (jobs * executor_mod.CHUNKS_PER_JOB)),
-            ))
-            assert 1 <= chunk <= executor_mod.CHUNK_MAX_SPECS
+            specs = [RunSpec(f"net{i}", GP102, LIGHT) for i in range(pending)]
+            chunks = executor_mod.chunk_specs(specs, jobs)
+            assert all(1 <= len(c) <= executor_mod.CHUNK_MAX_SPECS for c in chunks)
+            assert [spec for chunk in chunks for spec in chunk] == specs
+
+    @pytest.mark.parametrize("jobs", [2, 4, 8])
+    def test_parallel_chunks_keep_l1_sweeps_together(self, jobs):
+        from pathlib import Path
+
+        from repro.campaign import load_campaign, plan_campaign
+        from repro.runs.executor import chunk_specs
+
+        toml = Path(__file__).parent.parent / "examples" / "l1_sweep_campaign.toml"
+        specs = list(plan_campaign(load_campaign(toml)).specs)
+        chunks = chunk_specs(specs, jobs)
+        flat = [spec for chunk in chunks for spec in chunk]
+        assert sorted(s.key() for s in flat) == sorted(s.key() for s in specs)
+        home: dict[tuple, set[int]] = {}
+        for index, chunk in enumerate(chunks):
+            for spec in chunk:
+                sweep = (spec.network, replace(spec.config, l1_size=0), spec.options)
+                home.setdefault(sweep, set()).add(index)
+        # 7 networks x 3 schedulers, each swept over all four L1D sizes
+        # inside one worker task.
+        assert len(home) == 21
+        assert all(len(chunk_ids) == 1 for chunk_ids in home.values())
+        # Deterministic merge order: each sweep keeps its plan order.
+        for chunk in chunks:
+            for spec in chunk:
+                same = [s for s in specs if s.network == spec.network
+                        and s.options == spec.options]
+                assert [s for s in chunk if s in same] == same
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_spec_is_surfaced_not_raised(self, tmp_path, jobs):

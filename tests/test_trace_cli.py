@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs import validate_chrome_trace
 
@@ -63,6 +65,33 @@ class TestTraceSimulate:
         assert main(["trace", "simulate", "nope", "--no-cache",
                      "--output", str(tmp_path / "t.json")]) == 2
         assert "unknown network" in capsys.readouterr().err
+
+    def test_l1_sweep_tags_kernels_served_from_another_size(self, capsys, tmp_path):
+        out = tmp_path / "trace.json"
+        assert main(["trace", "simulate", "cifarnet", "--light", "--no-cache",
+                     "--no-warps", "--l1-kb", "0,64,128",
+                     "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert validate_chrome_trace(payload) == []
+        assert payload["otherData"]["l1_kb"] == [0, 64, 128]
+        sources = [e["args"]["source"] for e in payload["traceEvents"]
+                   if e.get("ph") == "X" and e.get("cat") == "kernel"]
+        per_size = len(sources) // 3
+        # The bypassed L1 and the first cached size simulate; 128 KB
+        # replays 64 KB's eviction-free waves.
+        assert set(sources[:2 * per_size]) == {"fresh"}
+        reused = sources.count("l1_reuse")
+        assert reused > 0
+        counters = payload["metrics"]["counters"]
+        assert counters["gpu.wave_l1_reused"]["value"] == reused
+        assert counters["gpu.kernel_l1_reuse"]["value"] == reused
+
+    def test_bad_l1_sizes_exit_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "simulate", "gru", "--l1-kb", "64,big",
+                  "--no-cache", "--output", str(tmp_path / "t.json")])
+        assert exit_info.value.code == 2
+        assert "comma-separated KB" in capsys.readouterr().err
 
 
 class TestTraceServe:
