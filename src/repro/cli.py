@@ -202,7 +202,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import compare_bench, read_bench, run_bench, write_bench
+    from repro.perf.bench import run_bench, write_bench
     from repro.platforms import make_config
 
     if args.serve:
@@ -213,13 +213,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return err
     config = make_config(args.platform)
     options = _sim_options(args)
-    runs = args.runs if args.runs is not None else args.repeats
     payload = run_bench(
         names,
         config,
         options,
         cache_dir=args.cache_dir,
-        runs=runs,
+        runs=args.runs,
         seed=args.seed,
     )
     write_bench(payload, args.output)
@@ -229,6 +228,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"wrote {args.output}")
+    return _compare_to_baseline(args, payload, "bench")
+
+
+def _compare_to_baseline(args: argparse.Namespace, payload: dict, prog: str) -> int:
+    """``--compare PATH``: print a verdict per entry; 1 on a significant
+    slowdown (0 when no baseline was given)."""
+    import json
+
+    from repro.perf.bench import compare_bench, read_bench
+
     if args.compare is None:
         return 0
     report = compare_bench(
@@ -236,8 +245,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         threshold=args.threshold, alpha=args.alpha,
     )
     if args.json:
-        import json
-
         print(json.dumps(report, indent=2))
     else:
         for name, verdict in report["networks"].items():
@@ -250,69 +257,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for name in report["skipped"]:
             print(f"{name:12s} skipped (missing from one side)")
     if report["regressions"]:
-        print(f"bench: {len(report['regressions'])} network(s) "
-              f"significantly slower than {args.compare}: "
+        print(f"{prog}: significantly slower than {args.compare}: "
               f"{', '.join(report['regressions'])}", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """``repro bench --serve``: time both serving event loops."""
+    """``repro bench --serve``: time the serving event loop."""
     import json
 
-    from repro.perf.bench import compare_bench, read_bench, write_bench
-    from repro.perf.serve_bench import gate_serve, run_serve_bench
+    from repro.perf.bench import write_bench
+    from repro.perf.serve_bench import run_serve_bench
 
-    runs = args.runs if args.runs is not None else args.repeats
     output = args.output if args.output != "BENCH_sim.json" else "BENCH_serve.json"
-    try:
-        payload = run_serve_bench(
-            requests=args.serve_requests,
-            devices=args.serve_devices,
-            runs=runs,
-            verbose=not args.json,
-        )
-    except RuntimeError as exc:
-        print(f"bench --serve: {exc}", file=sys.stderr)
-        return 1
+    payload = run_serve_bench(
+        requests=args.serve_requests,
+        devices=args.serve_devices,
+        runs=args.runs,
+        verbose=not args.json,
+    )
     write_bench(payload, output)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(f"wrote {output}")
-    code = 0
-    if args.gate:
-        verdict = gate_serve(payload, threshold=args.threshold, alpha=args.alpha)
-        p = verdict["p"]
-        detail = f"p={p:.3f}" if p is not None else verdict["method"]
-        mark = "REGRESSION" if verdict["slower"] else "ok"
-        if not args.json:
-            print(f"fast vs heap: {verdict['ratio']:.2f}x ({detail}) {mark}")
-        if verdict["slower"]:
-            print("bench --serve: fast loop significantly slower than "
-                  "the heap loop", file=sys.stderr)
-            code = 1
-    if args.compare is not None:
-        report = compare_bench(
-            read_bench(args.compare), payload,
-            threshold=args.threshold, alpha=args.alpha,
-        )
-        if args.json:
-            print(json.dumps(report, indent=2))
-        else:
-            for name, verdict in report["networks"].items():
-                p = verdict["p"]
-                detail = f"p={p:.3f}" if p is not None else verdict["method"]
-                mark = "REGRESSION" if verdict["slower"] else "ok"
-                print(f"{name:12s} {verdict['ratio']:6.2f}x vs baseline "
-                      f"({detail}) {mark}")
-        if report["regressions"]:
-            print(f"bench --serve: {len(report['regressions'])} loop(s) "
-                  f"significantly slower than {args.compare}: "
-                  f"{', '.join(report['regressions'])}", file=sys.stderr)
-            code = 1
-    return code
+    return _compare_to_baseline(args, payload, "bench --serve")
 
 
 def _make_workload(args: argparse.Namespace, names: list[str]):
@@ -454,16 +424,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return prep
     fleet, profiles, workload, schedulers, base, scenario = prep
     if scenario is not None:
-        configs = [(base, {"pipeline": scenario.pipeline(),
-                           "loop": args.loop or scenario.loop})]
+        configs = [(base, scenario.pipeline())]
     else:
-        configs = [
-            (replace(base, scheduler=name), {"loop": args.loop})
-            for name in schedulers
-        ]
+        configs = [(replace(base, scheduler=name), None) for name in schedulers]
     runs = []
     run_metrics = []
-    for config, kwargs in configs:
+    for config, pipeline in configs:
         if args.report:
             # capture the engine's histograms/gauges for the report,
             # one registry per run so schedulers don't merge
@@ -472,12 +438,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tracer = Tracer(warps=False)
             previous = set_tracer(tracer)
             try:
-                stats = run_serve(fleet, profiles, workload, config, **kwargs)
+                stats = run_serve(fleet, profiles, workload, config, pipeline)
             finally:
                 set_tracer(previous)
             run_metrics.append(tracer.metrics.to_dict())
         else:
-            stats = run_serve(fleet, profiles, workload, config, **kwargs)
+            stats = run_serve(fleet, profiles, workload, config, pipeline)
         runs.append(stats)
 
     if args.json:
@@ -633,16 +599,11 @@ def _cmd_trace_serve(args: argparse.Namespace) -> int:
         fleet, profiles, workload, schedulers, base, scenario = prep
         if scenario is not None:
             run_serve(
-                fleet, profiles, workload, base,
-                pipeline=scenario.pipeline(),
-                loop=args.loop or scenario.loop,
+                fleet, profiles, workload, base, pipeline=scenario.pipeline()
             )
         else:
             for name in schedulers:
-                run_serve(
-                    fleet, profiles, workload, replace(base, scheduler=name),
-                    loop=args.loop,
-                )
+                run_serve(fleet, profiles, workload, replace(base, scheduler=name))
     finally:
         set_tracer(previous)
     payload = write_trace(tracer, args.output, meta={
@@ -965,9 +926,9 @@ def _add_sim_args(sub_parser: argparse.ArgumentParser) -> None:
                             choices=("gto", "lrr", "tlv"),
                             help="warp scheduler (default: gto)")
     sub_parser.add_argument("--engine", default=None,
-                            choices=("seed", "fast", "vector"),
+                            choices=("seed", "vector"),
                             help="simulation engine (default: $REPRO_ENGINE "
-                                 "or vector); all three are bit-identical")
+                                 "or vector); both are bit-identical")
     _add_fidelity_args(sub_parser)
 
 
@@ -1020,10 +981,6 @@ def _add_serve_args(sub_parser: argparse.ArgumentParser) -> None:
                             help="admission policy: 'slo-aware' sheds "
                                  "low-priority work under load and "
                                  "SLO-infeasible placements (default: none)")
-    sub_parser.add_argument("--loop", default=None, choices=("fast", "heap"),
-                            help="event loop: the slotted fast path or the "
-                                 "reference heap; both are bit-identical "
-                                 "(default: $REPRO_SERVE_LOOP or fast)")
     sub_parser.add_argument("--scenario", default=None, metavar="PATH",
                             help="TOML/JSON multi-tenant scenario file; "
                                  "overrides the workload/fleet/policy flags "
@@ -1115,12 +1072,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_args(bench)
     bench.add_argument("--output", default="BENCH_sim.json", metavar="PATH",
                        help="output JSON path (default: BENCH_sim.json)")
-    bench.add_argument("--runs", type=int, default=None, metavar="N",
+    bench.add_argument("--runs", type=int, default=1, metavar="N",
                        help="timed runs per measurement; all samples are "
                             "kept for statistics (default: 1; use >= 5 "
                             "for significance testing)")
-    bench.add_argument("--repeats", type=int, default=1, metavar="N",
-                       help="deprecated alias for --runs")
     bench.add_argument("--compare", default=None, metavar="PATH",
                        help="compare against a baseline bench JSON and "
                             "exit 1 on a statistically significant "
@@ -1133,14 +1088,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="significance level for the Mann-Whitney "
                             "test (default: 0.05)")
     bench.add_argument("--serve", action="store_true",
-                       help="benchmark the serving event loops on a "
+                       help="benchmark the serving event loop on a "
                             "synthetic fleet instead of the simulator "
                             "(writes BENCH_serve.json; networks and "
                             "simulator flags are ignored)")
-    bench.add_argument("--gate", action="store_true",
-                       help="with --serve: fail if the fast loop is "
-                            "statistically significantly slower than the "
-                            "reference heap loop")
     bench.add_argument("--serve-requests", type=int,
                        default=SERVE_BENCH_REQUESTS, metavar="N",
                        help="with --serve: offered requests per timed run "

@@ -10,7 +10,11 @@ wave scaling to the full chip:
 * :mod:`repro.gpu.scheduler` -- GTO / LRR / TLV warp schedulers
   (Figures 15-16).
 * :mod:`repro.gpu.sm` -- the SM issue loop with full stall attribution
-  (Figure 7).
+  (Figure 7): the default ``vector`` engine.
+* :mod:`repro.gpu.seed_engine` -- the frozen original loop, kept as the
+  bit-identity oracle.
+* :mod:`repro.gpu.engine` -- selects between the two (``--engine``,
+  ``$REPRO_ENGINE``).
 * :mod:`repro.gpu.simulator` -- kernel- and network-level drivers with
   block/loop sampling and result scaling.
 """

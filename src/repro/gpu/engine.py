@@ -1,17 +1,15 @@
 """Simulation-engine registry and selection.
 
-Three engines can drive a resident-wave simulation, all bit-identical
-by construction and by test (``tests/test_engine_equivalence.py``):
+Two engines can drive a resident-wave simulation, bit-identical by
+construction and by test (``tests/test_engine_equivalence.py``):
 
 * ``seed`` — the frozen reference implementation in
   :mod:`repro.gpu.seed_engine` (per-cycle ``O(warps)`` scans;
   deliberately slow, the equivalence oracle);
-* ``fast`` — the event-heap loop in :mod:`repro.gpu.sm`
-  (``ENGINE_VERSION = "fast-2.1"``);
-* ``vector`` — the default: :mod:`repro.gpu.vector`, the fast loop plus
-  structure-of-arrays decode, numpy-precomputed coalesced transactions,
-  a vectorized L2 warm front and a solo-warp batch issue loop
-  (``ENGINE_VERSION = "fast-3"``).
+* ``vector`` — the default: :mod:`repro.gpu.sm`, an event-heap wake
+  loop over pre-decoded instructions plus numpy-precomputed coalesced
+  transactions, a vectorized L2 warm front and a solo-warp batch issue
+  loop (``ENGINE_VERSION = "fast-3"``).
 
 Selection, in precedence order: :func:`set_engine` (the ``--engine``
 CLI flag), the ``REPRO_ENGINE`` environment variable, then
@@ -25,8 +23,8 @@ from __future__ import annotations
 
 import os
 
-#: Recognized engine names, in oracle -> fastest order.
-ENGINES = ("seed", "fast", "vector")
+#: Recognized engine names: the oracle, then the optimized engine.
+ENGINES = ("seed", "vector")
 
 #: Engine used when neither :func:`set_engine` nor ``$REPRO_ENGINE``
 #: chose one.
@@ -75,30 +73,22 @@ def engine_version(name: str | None = None) -> str:
         from repro.gpu import seed_engine
 
         return seed_engine.ENGINE_VERSION
-    if name == "fast":
-        from repro.gpu import sm
+    from repro.gpu import sm
 
-        return sm.ENGINE_VERSION
-    from repro.gpu import vector
-
-    return vector.ENGINE_VERSION
+    return sm.ENGINE_VERSION
 
 
 def wave_class(name: str | None = None):
     """The resident-wave class the simulator drivers should construct.
 
-    Only the fast/vector engines plug into
+    Only the optimized engine plugs into
     :func:`repro.gpu.simulator._run_wave`; the seed engine keeps its own
     frozen drivers, and :func:`repro.gpu.simulator.simulate_network`
     delegates to them wholesale when ``seed`` is active.
     """
     name = _validate(name, "wave_class") if name is not None else get_engine()
-    if name == "vector":
-        from repro.gpu.vector import VectorWave
+    if name == "seed":
+        raise ValueError("the seed engine has no pluggable wave class")
+    from repro.gpu.sm import SmWave
 
-        return VectorWave
-    if name == "fast":
-        from repro.gpu.sm import SmWave
-
-        return SmWave
-    raise ValueError("the seed engine has no pluggable wave class")
+    return SmWave

@@ -18,11 +18,11 @@ charged by GTO/TLV only.
 A note on the ``order`` generators: they re-read scheduler state
 (``_current``, ``_next``, ``_rr``, the TLV queues) *live*, per yield,
 while ``notify_issue`` mutates that state mid-consumption.  Those
-interleavings are part of the modelled policies and the fast engine in
-:mod:`repro.gpu.sm` depends on reproducing them exactly — it inlines
-GTO (whose interleaving provably reduces to "current first, then oldest
-ready") as bitmask iteration, and drives LRR/TLV through these
-generators unchanged.  Do not "simplify" the generators into
+interleavings are part of the modelled policies and the optimized
+engine in :mod:`repro.gpu.sm` depends on reproducing them exactly — it
+inlines GTO (whose interleaving provably reduces to "current first,
+then oldest ready") as bitmask iteration, and drives LRR/TLV through
+these generators unchanged.  Do not "simplify" the generators into
 pre-materialized lists; that changes issue order.
 """
 

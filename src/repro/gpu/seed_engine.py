@@ -1,10 +1,10 @@
 """Frozen reference copy of the original (seed) simulation engine.
 
-The fast engine in :mod:`repro.gpu.sm` is a performance rewrite that is
-required to be *bit-identical* to the engine this repository started
-with: same issue order, same cycle counts, same weighted counters.  To
-make that contract testable forever, this module preserves the seed
-implementation verbatim — the per-cycle ``O(warps)`` scans, the
+The optimized engine in :mod:`repro.gpu.sm` is a performance rewrite
+that is required to be *bit-identical* to the engine this repository
+started with: same issue order, same cycle counts, same weighted
+counters.  To make that contract testable forever, this module
+preserves the seed implementation verbatim — the per-cycle ``O(warps)`` scans, the
 dict-based scoreboard, the straightforward ``_try_issue`` — behind the
 same ``simulate_kernel`` / ``simulate_network`` signatures.
 

@@ -212,8 +212,10 @@ class L1Memo:
     replay bit-identically; DESIGN.md section 8 gives the argument.
 
     Entries are keyed by the launch signature, the config with
-    ``l1_size`` zeroed, the options and the active engine — never by a
-    wave-class tuple, which would pin the canonical program in memory.
+    ``l1_size`` zeroed and the options — never by a wave-class tuple,
+    which would pin the canonical program in memory.  The engine is not
+    part of the key: only :class:`~repro.gpu.sm.SmWave` runs are ever
+    recorded, because the seed engine never consults the memo.
     Each entry is its run pickled into one bytes object: a live
     ``_WaveRun`` is some thirty small objects (stats, counters, floats),
     and holding those for a whole L1D sweep raised its peak RSS by
@@ -233,10 +235,7 @@ class L1Memo:
     @staticmethod
     def key(kernel: KernelLaunch, config: GpuConfig, options: SimOptions) -> tuple:
         """Memo key of one launch: everything a wave reads but the L1D size."""
-        return (
-            kernel.signature(), replace(config, l1_size=0), options,
-            engine_registry.get_engine(),
-        )
+        return kernel.signature(), replace(config, l1_size=0), options
 
     def get(self, key: tuple, config: GpuConfig) -> _WaveRun | None:
         """A recorded run that replays exactly under *config*'s L1D."""
@@ -263,8 +262,7 @@ def _run_wave(
     """Expand, decode and execute one resident wave on one SM.
 
     The wave class comes from the engine registry
-    (:func:`repro.gpu.engine.wave_class`): ``SmWave`` for the fast
-    engine, ``VectorWave`` for the vector engine.  The seed engine never
+    (:func:`repro.gpu.engine.wave_class`).  The seed engine never
     reaches here — :func:`simulate_kernel` delegates to its frozen
     driver wholesale.
     """

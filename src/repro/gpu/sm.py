@@ -1,4 +1,4 @@
-"""The streaming-multiprocessor issue loop (fast engine).
+"""The streaming-multiprocessor issue loop (the optimized engine, "fast-3").
 
 Simulates one SM running one resident wave of a kernel: warps issue in
 scheduler order through scoreboard, pipeline-port and memory-system
@@ -8,7 +8,8 @@ jumps to the next wake-up — and stall attribution is sampled every
 ``SimOptions.stall_sample`` cycles, exactly as nvprof itself samples.
 
 This is a performance rewrite of the original loop (kept verbatim in
-:mod:`repro.gpu.seed_engine`) and is **bit-identical** to it:
+:mod:`repro.gpu.seed_engine`) and is **bit-identical** to it
+(``tests/test_engine_equivalence.py`` gates every suite network):
 
 * The per-cycle ``for warp in warps`` wake/stall sweeps are replaced by
   an incremental ready set (a bitmask over warp ids), a ``nxt`` list for
@@ -29,11 +30,42 @@ This is a performance rewrite of the original loop (kept verbatim in
 * Fetch and scoreboard checks are skipped on replay (``Warp.chk``):
   programs are straight-line and a warp's scoreboard only changes on
   its own issues, so both checks are monotonic while the warp sleeps.
+* **Precomputed coalesced transactions.**  Resolving a global access
+  at issue time (:func:`_gmem_txs`) means, per (warp, pc), evaluating
+  the block terms, probing the translation-invariant line-pattern cache
+  and translating.  The wave instead computes the per-block scalar part
+  of every global-access pc as one numpy expression over block-symbol
+  arrays and materializes all warps' transaction lists for a pc with a
+  single broadcast add (``pattern[None, :] + base[:, None]``) — the
+  issue loop then just reads ``warp.ptx[pc]``.
+* **Vectorized shared-input warming.**  ``warm_shared_input`` replays
+  the wave's input-slot loads into L2 with zero statistic weight.
+  Zero-weight accesses leave counters untouched, so only the final
+  tag/LRU state matters; per L2 set that state is the distinct tags in
+  last-occurrence order whenever the set starts empty and never
+  overflows — computed wholesale from tag/set-index arrays by
+  :meth:`repro.memory.cache.Cache.bulk_warm`, with a scalar replay
+  fallback for the (rare) sets whose evictions depend on access order.
+* **Solo-warp batch issue.**  When exactly one warp is awake under GTO
+  — every other warp asleep on a long latency, parked at a barrier, or
+  retired — the general candidate walk degenerates to "issue the next
+  instruction if its sources are ready".  The batch loop issues whole
+  ALU/CTRL runs (``ProgramSoA.batch_ok``) in a tight loop: single-cycle
+  ports freed by the previous cycle can never block the only awake
+  warp, the sleeper stall-buckets are constant for the duration, and
+  sampled stall attribution reduces to integer credits on the sample
+  grid — all exact, no float accumulation is reordered.
+
+Fallbacks are counted, not silent: ``engine.vector.*`` counters in
+:mod:`repro.obs` record batched vs general-walk issues and vectorized
+vs scalar-replay warm sets whenever tracing is enabled.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+
+import numpy as np
 
 from repro.gpu.config import GpuConfig, SimOptions
 from repro.gpu.decode import (
@@ -57,10 +89,10 @@ from repro.profiling.stats import KernelStats
 
 #: Bumped whenever an engine change could alter simulated numbers; part
 #: of the persistent result-cache key (:mod:`repro.runs.store`).
-#: "fast-2.1": canonical signatures + simulation dedup (PR 6) — numbers
-#: are bit-identical to "fast-2" but signatures changed meaning, so old
-#: store entries must not alias the new keys.
-ENGINE_VERSION = "fast-2.1"
+#: "fast-3": the vectorized engine.  Numbers are bit-identical to the
+#: seed, but keying the store by engine keeps the provenance of every
+#: cached entry auditable per engine.
+ENGINE_VERSION = "fast-3"
 
 #: Cycles lost to an instruction-buffer refill.
 _FETCH_BUBBLE = 2
@@ -70,6 +102,9 @@ _ISSUE_WIDTH = 4
 
 #: Wake value for warps parked at a barrier (released explicitly).
 _FAR_FUTURE = 1 << 40
+
+#: Wake bound when no sleeper is on the heap (beyond any reachable cycle).
+_NEVER = 1 << 60
 
 #: Safety valve: a wave longer than this indicates a simulator bug.
 _MAX_CYCLES = 50_000_000
@@ -164,9 +199,9 @@ class SmWave:
         self.stats = KernelStats()
         self.warps: list[Warp] = []
         self.blocks: list[_BlockCtx] = []
-        #: (warp_id, pc) -> transactions computed by warm_shared_input,
-        #: reused (and popped) when the load actually issues.
-        self._warm_txs: dict = {}
+        self._dprog = dprog
+        self._ptx: list | None = None
+        self._warm_obs = (0, 0)
 
         gx, gy, gz = kernel.grid
         warps_per_block = kernel.warps_per_block
@@ -194,6 +229,108 @@ class SmWave:
                     block.expected += 1
 
     # ------------------------------------------------------------------
+    def _ensure_ptx(self) -> list:
+        """Per-warp ``pc -> coalesced transaction list`` tables."""
+        ptx = self._ptx
+        if ptx is None:
+            ptx = self._ptx = self._precompute_txs()
+        return ptx
+
+    def _precompute_txs(self) -> list:
+        """Materialize every (warp, pc) transaction list with array ops.
+
+        Value-identical to calling :func:`_gmem_txs` per (warp, pc): the
+        per-block scalar address part is one numpy expression over
+        block-symbol arrays (warps of a block share it),
+        the lane-varying line pattern comes from the same
+        translation-invariant caches :func:`_gmem_txs` uses, and the
+        absolute lists fall out of one broadcast add per (pc,
+        lane-offset).  Guard warps never touch global memory, so their
+        tables stay empty.
+
+        Small waves skip the array path: numpy's fixed per-op cost
+        outruns the win below a handful of blocks (the RNN point
+        kernels), so those build the same tables through the scalar
+        helper — identical values either way.
+        """
+        dprog = self._dprog
+        warps = self.warps
+        ptx: list = [{} for _ in warps]
+        gpcs = dprog.soa().gmem_pcs
+        if not gpcs:
+            return ptx
+        blocks = self.blocks
+        nblocks = len(blocks)
+        if nblocks < 24:
+            dec = dprog.instrs
+            for w in warps:
+                if w.dprog is not dprog or not w.n_active:
+                    continue
+                table = ptx[w.warp_id]
+                for pc in gpcs:
+                    table[pc] = _gmem_txs(w, pc, dec[pc][4])
+            return ptx
+        gx, gy, _ = self.kernel.grid
+        bi = np.arange(nblocks, dtype=np.int64)
+        bz = bi // (gx * gy)
+        by = (bi // gx) % gy
+        bx = bi % gx
+        bsyms = {
+            "bx": bx,
+            "by": by,
+            "bz": bz,
+            "lin_bid": (bz * gy + by) * gx + bx,
+            "one": np.ones(nblocks, dtype=np.int64),
+        }
+        # One representative warp per lane offset (lane symbols and the
+        # active mask depend only on lane_start and the fixed geometry).
+        reps = [
+            (slot, w)
+            for slot, w in enumerate(blocks[0].warps)
+            if w.dprog is dprog and w.n_active
+        ]
+        dec = dprog.instrs
+        for pc in gpcs:
+            gmem = dec[pc][4]
+            scal = np.full(nblocks, gmem.const, dtype=np.int64)
+            for term in gmem.bterms:
+                scal = scal + term.apply(bsyms[term.sym])
+            if gmem.tterms:
+                q = scal >> _TX_SHIFT
+                base = q << _TX_SHIFT
+                rems = (scal - base).tolist()
+                single_rem = len(set(rems)) == 1
+                for slot, rep in reps:
+                    if single_rem:
+                        pat = np.array(
+                            dprog.tx_lines(pc, gmem, rep, rems[0]), dtype=np.int64
+                        )
+                        mat = (pat[None, :] + base[:, None]).tolist()
+                        for b, blk in enumerate(blocks):
+                            ptx[blk.warps[slot].warp_id][pc] = mat[b]
+                    else:
+                        bl = base.tolist()
+                        for b, blk in enumerate(blocks):
+                            lines = dprog.tx_lines(pc, gmem, rep, rems[b])
+                            off = bl[b]
+                            ptx[blk.warps[slot].warp_id][pc] = (
+                                [line + off for line in lines]
+                                if off
+                                else list(lines)
+                            )
+            else:
+                w1 = gmem.w1
+                fl = ((scal >> _TX_SHIFT) << _TX_SHIFT).tolist()
+                ll = (((scal + w1) >> _TX_SHIFT) << _TX_SHIFT).tolist() if w1 else fl
+                for b, blk in enumerate(blocks):
+                    txs = [fl[b], ll[b]] if ll[b] != fl[b] else [fl[b]]
+                    # No lane-varying terms: every warp of the block
+                    # issues the same transactions (read-only, shared).
+                    for slot, rep in reps:
+                        ptx[blk.warps[slot].warp_id][pc] = txs
+        return ptx
+
+    # ------------------------------------------------------------------
     def warm_shared_input(self) -> None:
         """Pre-touch shared input lines in L2 on behalf of unsimulated blocks.
 
@@ -201,25 +338,34 @@ class SmWave:
         (``KernelLaunch.shared_input``), the blocks running on the other
         SMs — which the one-SM simulation does not execute — would have
         brought those lines into the shared L2 already.  This replays
-        the simulated warps' input-slot loads against the L2 tag store
-        with zero statistic weight, so the measured wave sees the
-        sharing without the counters being polluted.  The computed
-        transactions are kept for reuse at issue time.
+        the simulated warps' input-slot loads, in the seed engine's
+        order, with zero statistic weight through the bulk warm front
+        (zero-weight accesses only mutate tag/LRU state, so the
+        set-level reduction is exact; see ``Cache.bulk_warm``).
         """
-        l2_access = self.hier.l2.access
-        wtx = self._warm_txs
+        ptx = self._ensure_ptx()
+        seq: list[int] = []
+        ext = seq.extend
         for w in self.warps:
-            dec = w.dec
+            table = ptx[w.warp_id]
             for pc in w.dprog.warm_pcs:
-                txs = _gmem_txs(w, pc, dec[pc][4])
+                txs = table.get(pc)
                 if txs:
-                    for tx in txs:
-                        l2_access(tx, weight=0.0)
-                    wtx[(w.warp_id, pc)] = txs
+                    ext(txs)
+        if seq:
+            self._warm_obs = self.hier.warm_l2(seq)
 
     # ------------------------------------------------------------------
-    def run(self) -> KernelStats:
-        """Execute the wave to completion; returns unscaled wave stats."""
+    def run(self):
+        """Execute the wave to completion; returns unscaled wave stats.
+
+        Structurally the seed engine's loop (same events, same
+        attribution, same accumulation order — float sums are never
+        reordered) with the deltas the module docstring lists: global
+        accesses read precomputed transaction tables, and a solo-warp
+        batch loop fast-forwards ALU/CTRL runs when only one warp is
+        awake.  See the module docstring for the exactness argument.
+        """
         warps = self.warps
         live = sum(1 for w in warps if not w.done)
         if live == 0:
@@ -237,72 +383,52 @@ class SmWave:
         hier_store = hier.store
         mshr_release = hier.mshr.next_release
         lat_l1 = hier.lat_l1
-        # Shared/constant accesses inlined from MemoryHierarchy: a fixed
-        # scratchpad latency and a single hot constant line (first touch
-        # misses to L2 latency, the rest hit), with the weighted access
-        # counters accumulated locally in the same order and folded back
-        # after the loop — bit-identical, without two method calls per
-        # access on the hottest kernels.
         lat_shared = hier.lat_shared
         lat_const = hier.lat_const
         lat_l2 = hier.lat_l2
         shared_acc = 0.0
         const_acc = 0.0
         cc_hot = hier.const_cache.contains(0)
-        wtx = self._warm_txs
         kernel_name = self.kernel.name
 
-        # Warp-phase tracing (repro.obs): gated on one local bool; when
-        # off, the issue loop pays nothing beyond these two reads.  When
-        # on, sleep phases are buffered as plain tuples at the (rare)
-        # sleep/park/done sites and converted to spans after the loop.
+        ptx = self._ensure_ptx()
+        for w in warps:
+            w.ptx = ptx[w.warp_id]
+            w.bok = w.dprog.soa().batch_ok
+
         tracer = get_tracer()
         trace = tracer.enabled and tracer.warps
-        tev: list = []         # (start, end, reason_index, warp_id)
-        park_at: dict = {}     # warp_id -> barrier park cycle
-        done_at: dict = {}     # warp_id -> retirement cycle
+        tev: list = []
+        park_at: dict = {}
+        done_at: dict = {}
 
-        # Per-pipe next-free cycle, indexed like decode.PIPES.
+        # Vectorization observability (folded into engine.vector.*).
+        nbatched = 0   # instructions issued by the batch loop
+        nscalar = 0    # instructions issued by the general walk
+        nwindows = 0   # batch windows entered
+        batch_cycles = 0
+
         pf = [0, 0, 0, 0, 0]
-        # Per-pipe bitmask of warps whose fetch/scoreboard checks passed
-        # for their current pc and whose instruction needs that issue
-        # port (Warp.cm tracks membership).  When a port is busy, every
-        # ready member would fail the pipe gate with wake == cycle + 1
-        # and no state change — so on non-sampled GTO cycles whole
-        # cohorts are herded with one mask operation instead of being
-        # tried warp by warp.
         cmask = [0, 0, 0, 0, 0]
-        # Ready set: bit i set <=> warps[i] is awake, not done and not
-        # yet considered this cycle.  A warp leaves on try (re-entering
-        # via `nxt` or the heap when it fails, sleeps or issues) and on
-        # barrier parking (re-entering on release).  Warps in the mask
-        # always have bucket == -1.
         mask = 0
         for w in warps:
             if not w.done:
                 mask |= 1 << w.warp_id
-        heap: list = []  # (wake, warp_id) for wakes beyond cycle + 1
-        nxt: list = []   # barrier-released warps waking at cycle + 1
-        imask = 0        # warps that issued this cycle (ready again next
-        #                  cycle; their buckets are already -1, so they
-        #                  rejoin `mask` with no bucket bookkeeping)
+        heap: list = []
+        nxt: list = []
+        imask = 0
         nreasons = len(_REASONS)
-        bcnt = [0] * nreasons      # sleeping warps per stall reason
-        sacc = [0] * nreasons      # sampled stall accumulators
-        pacc = [0.0] * len(PIPES)  # issued weight per pipe
+        bcnt = [0] * nreasons
+        sacc = [0] * nreasons
+        pacc = [0.0] * len(PIPES)
         issued_acc = 0.0
         rf_reads = 0.0
         rf_writes = 0.0
 
-        cur = None       # GTO: warp that issued most recently
-        parked = 0       # non-done warps parked at a barrier
-        sync_parked = 0  # of those, parked this very cycle (the seed
-        #                  sweep treats same-cycle parkers as issued)
-        herd = 0         # warps that failed with wake == cycle + 1 on a
-        #                  cycle with no stall sweep: nothing can observe
-        #                  their bucket/wake before they retry next
-        #                  cycle, so all bookkeeping is skipped and the
-        #                  bit rejoins `mask` right after the advance.
+        cur = None
+        parked = 0
+        sync_parked = 0
+        herd = 0
         cycle = 0
         next_sample = 0
         bubble_until = 0
@@ -312,33 +438,119 @@ class SmWave:
                 raise RuntimeError(
                     f"{kernel_name}: wave exceeded {_MAX_CYCLES} cycles"
                 )
+            # ---- solo-warp batch fast path (GTO only) ----------------
+            # At the loop top `nxt`/`herd` are always drained, sleepers
+            # due by `cycle` have woken, and every single-cycle port is
+            # free (its last issue was before this cycle).  With exactly
+            # one warp awake the general walk degenerates to "issue the
+            # next instruction when its sources are ready", so ALU/CTRL
+            # runs (ProgramSoA.batch_ok) advance in a tight loop:
+            # sleeper stall-buckets are constant for the window and the
+            # sampled sweep reduces to integer credits on the sample
+            # grid — bit-exact, nothing float is reordered.
+            if gto and mask and cycle >= bubble_until and not (mask & (mask - 1)):
+                wid = mask.bit_length() - 1
+                w = warps[wid]
+                pc = w.pc
+                bok = w.bok
+                if bok[pc]:
+                    nwindows += 1
+                    if w.cm >= 0:  # will issue now: drop the port cohort bit
+                        cmask[w.cm] &= ~mask
+                        w.cm = -1
+                    dec = w.dec
+                    ready = w.reg_ready
+                    kinds = w.reg_kind
+                    wn = w.n
+                    c = cycle
+                    wake_bound = heap[0][0] if heap else _NEVER
+                    nz = [(i, bcnt[i] * sample) for i in range(nreasons) if bcnt[i]]
+                    issued_any = False
+                    asleep = False
+                    while True:
+                        rec = dec[pc]
+                        srcs = rec[1]
+                        if srcs:
+                            worst = c
+                            kidx = 0
+                            for r in srcs:
+                                rc = ready[r]
+                                if rc > worst:
+                                    worst = rc
+                                    kidx = kinds[r]
+                            if worst > c:
+                                ri = _KIND_REASON_I[kidx]
+                                if c >= next_sample:
+                                    sacc[ri] += sample
+                                    for i2, cr in nz:
+                                        sacc[i2] += cr
+                                    next_sample = c + sample
+                                if worst == c + 1:
+                                    # 1-cycle stall: retry next cycle
+                                    # (the general loop's herd path).
+                                    c += 1
+                                    if c >= wake_bound:
+                                        break
+                                    continue
+                                # Longer dependency: sleep on the heap.
+                                w.bucket = ri
+                                bcnt[ri] += 1
+                                heappush(heap, (worst, wid))
+                                if trace:
+                                    tev.append((c, worst, ri, wid))
+                                wk = heap[0][0]
+                                c = wk if wk > c + 1 else c + 1
+                                asleep = True
+                                break
+                        # ---- issue (ALU/CTRL; ports cannot block) ----
+                        weight = rec[3]
+                        if rec[0] == K_ALU:
+                            dst = rec[2]
+                            ready[dst] = c + rec[4]
+                            kinds[dst] = 0  # KIND_ALU
+                            rf_writes += weight
+                        issued_acc += weight
+                        pacc[rec[5]] += weight
+                        rf_reads += rec[7]
+                        issued_any = True
+                        nbatched += 1
+                        pc += 1
+                        if c >= next_sample:
+                            for i2, cr in nz:
+                                sacc[i2] += cr
+                            next_sample = c + sample
+                        if pc >= wn:
+                            w.done = True
+                            live -= 1
+                            if trace:
+                                done_at[wid] = c
+                            asleep = True  # leaves the ready set
+                            c += 1
+                            break
+                        c += 1
+                        if c >= wake_bound or not bok[pc]:
+                            break
+                    w.pc = pc
+                    if issued_any:
+                        cur = w
+                    if asleep:
+                        mask = 0
+                    batch_cycles += c - cycle
+                    cycle = c
+                    while heap and heap[0][0] <= cycle:
+                        o = warps[heappop(heap)[1]]
+                        bcnt[o.bucket] -= 1
+                        o.bucket = -1
+                        mask |= 1 << o.warp_id
+                    continue
             sampling = cycle >= next_sample
             nissued = 0
             if cycle >= bubble_until:
                 nxtc = cycle + 1
                 sdrop = 0
                 if gto:
-                    # Inlined GTO: current warp first, then remaining
-                    # ready warps oldest (lowest id) first.  Equivalent
-                    # to the seed generator: its mid-loop `_current`
-                    # re-reads only ever re-yield warps that are no
-                    # longer ready, which the seed loop skipped anyway.
-                    # `pend` snapshots the ready set; `cur` keeps its
-                    # pend bit, caught by the mask test after it is
-                    # tried first.
                     it = None
                     pend = mask
-                    # Bulk-drop cohorts of ports freeing exactly next
-                    # cycle: every member would fail the pipe gate with
-                    # wake == cycle + 1 and no state change.  Only such
-                    # ports qualify — members of a longer-busy port
-                    # (SFU, interval 4) sleep past cycle + 1 and need
-                    # the full bookkeeping path.  On sampled cycles the
-                    # drop is recorded in `sdrop` and the stall credit
-                    # each member would have earned is reconstructed
-                    # after the candidate walk (see below); `cur` is
-                    # kept out because it is tried first, ahead of the
-                    # ascending order the reconstruction assumes.
                     drop = 0
                     if pf[0] == nxtc:
                         drop |= cmask[0]
@@ -354,8 +566,6 @@ class SmWave:
                             if cur is not None:
                                 drop &= ~(1 << cur.warp_id)
                             sdrop = drop
-                        # Equivalent to trying each one: pipe-gate
-                        # fail, wake next cycle, nothing observable.
                         herd |= drop
                         mask &= ~drop
                         pend &= ~drop
@@ -389,11 +599,6 @@ class SmWave:
                     mask ^= bit
                     pc = w.pc
                     if w.chk == pc:
-                        # Replay: fetch and scoreboard passed earlier
-                        # (both monotonic while the warp slept); only
-                        # the pipe gate can block, and its inputs are
-                        # cached on the warp, so the thundering-herd
-                        # retry path never touches the decoded tuple.
                         rec = None
                         iv = w.civ
                         rpi = w.cpi
@@ -415,12 +620,6 @@ class SmWave:
                             blk = w.block
                             blk.arrived += 1
                             if blk.arrived >= blk.expected:
-                                # Last arrival releases everyone.
-                                # Released warps keep their SYNC bucket
-                                # until the drain: the seed left
-                                # `reason` set and the sweep still
-                                # attributes them to SYNC for the
-                                # release cycle.
                                 for o in blk.warps:
                                     if o.at_barrier:
                                         o.at_barrier = False
@@ -444,6 +643,7 @@ class SmWave:
                                     if trace:
                                         park_at[w.warp_id] = cycle
                             nissued += 1
+                            nscalar += 1
                             if gto:
                                 cur = w
                             else:
@@ -463,9 +663,6 @@ class SmWave:
                                      _R_INST_FETCH, w.warp_id)
                                 )
                             continue
-                        # Scoreboard: all sources ready?  First maximum
-                        # wins the attribution (strict >), as in the
-                        # seed's dict scoreboard.
                         srcs = rec[1]
                         if srcs:
                             ready = w.reg_ready
@@ -495,11 +692,6 @@ class SmWave:
                     if iv:
                         free = pf[rpi]
                         if free > cycle:
-                            # Record that fetch and scoreboard passed
-                            # (both monotonic while the warp sleeps), so
-                            # the replay skips straight back to this
-                            # gate.  Deferred to the fail paths: issuing
-                            # warps — the common case — never need it.
                             w.chk = pc
                             w.civ = iv
                             w.cpi = rpi
@@ -531,20 +723,11 @@ class SmWave:
                         mem = True
                         txs = w.ctxs
                         if txs is False:
-                            if wtx:
-                                txs = wtx.pop((w.warp_id, pc), None)
-                                if txs is None:
-                                    txs = _gmem_txs(w, pc, aux)
-                            else:
-                                txs = _gmem_txs(w, pc, aux)
+                            txs = w.ptx.get(pc)
                         if txs is not None:
                             if aux.is_load:
                                 rc = hier_load(cycle, txs, weight)
                                 if rc is None:
-                                    # MSHRs exhausted: replay later with
-                                    # the same (deterministic) coalesced
-                                    # transactions, skipping straight to
-                                    # the pipe gate.
                                     w.ctxs = txs
                                     w.chk = pc
                                     w.civ = iv
@@ -601,13 +784,6 @@ class SmWave:
                     if iv:
                         pf[pi] = cycle + iv
                         if iv == 1:
-                            # Port now busy for one cycle: herd its
-                            # whole waiting cohort at once (each
-                            # member would fail the gate with
-                            # wake == cycle + 1).  `& mask` skips
-                            # already-tried warps (`cur`'s stale pend
-                            # bit) so sampled drops credit each warp
-                            # exactly once.
                             d = pend & cmask[pi] & mask
                             if d:
                                 herd |= d
@@ -634,27 +810,16 @@ class SmWave:
                     else:
                         imask |= bit
                     nissued += 1
+                    nscalar += 1
                     if gto:
                         cur = w
                     else:
                         notify(w)
-                    # Queue-management bubble on memory issues
-                    # (GTO/TLV only): the mechanism behind LRR's win
-                    # on cache-friendly convolutions (Observation 12).
                     if mem and queue_penalty and bubble_until <= cycle:
                         bubble_until = cycle + 1 + queue_penalty
                     if nissued >= _ISSUE_WIDTH:
                         break
                 if sdrop:
-                    # Reconstruct the stall credit each sampled-cycle
-                    # dropped cohort member would have earned had it
-                    # been walked individually.  Candidates are popped
-                    # in ascending warp id (after `cur`, which is never
-                    # in `sdrop`), so when the issue-width break fired
-                    # at warp `w`, exactly the members below `w` would
-                    # have been tried (pipe-gate fail -> PIPE_BUSY); the
-                    # rest were never reached and count NOT_SELECTED,
-                    # as the mask sweep below would have counted them.
                     n = sdrop.bit_count()
                     if nissued >= _ISSUE_WIDTH:
                         nb = (sdrop & ((1 << w.warp_id) - 1)).bit_count()
@@ -663,14 +828,6 @@ class SmWave:
                     else:
                         sacc[_R_PIPE_BUSY] += n * sample
 
-            # Sampled stall attribution, nvprof style: every `sample`
-            # cycles each non-issuing resident warp contributes one
-            # sample of its current stall reason.  Ready-but-unselected
-            # warps are exactly the remaining mask; sleepers are the
-            # per-reason bucket counts; warps that parked at a barrier
-            # this very cycle issued it, so the seed skipped them.
-            # Herd warps already credited their reason directly at
-            # fail time (same arithmetic, no bucket round-trip).
             if sampling:
                 sacc[_R_NOT_SELECTED] += mask.bit_count() * sample
                 for i in range(nreasons):
@@ -681,10 +838,6 @@ class SmWave:
                     sacc[_R_SYNC] -= sync_parked * sample
                 next_sample = cycle + sample
 
-            # Advance time: +1 after an issue, else jump to the next
-            # event — the end of a bubble blocking a ready warp, or the
-            # earliest wake-up — exactly as the seed's scan chose.  Herd
-            # warps sleep with an implicit wake of cycle + 1, like `nxt`.
             if nissued:
                 cycle += 1
             elif mask and bubble_until > cycle:
@@ -695,9 +848,6 @@ class SmWave:
                 wk = heap[0][0]
                 cycle = wk if wk > cycle + 1 else cycle + 1
             elif parked:
-                # Every sleeper is parked at a barrier that cannot
-                # release: jump to the deadlock guard, as the seed's
-                # scan of _FAR_FUTURE wakes did.
                 cycle = _FAR_FUTURE
             else:
                 cycle += 1
@@ -742,6 +892,16 @@ class SmWave:
         st.resident_warps = len(warps)
         if trace:
             self._emit_trace(tracer, tev, park_at, done_at, cycle)
+        if tracer.enabled:
+            metrics = tracer.metrics
+            metrics.counter("engine.vector.batched_issues").inc(nbatched)
+            metrics.counter("engine.vector.scalar_issues").inc(nscalar)
+            metrics.counter("engine.vector.batch_windows").inc(nwindows)
+            metrics.counter("engine.vector.batch_cycles").inc(batch_cycles)
+            wf, ws = self._warm_obs
+            if wf or ws:
+                metrics.counter("engine.vector.warm_vector_sets").inc(wf)
+                metrics.counter("engine.vector.warm_scalar_sets").inc(ws)
         return st
 
     # ------------------------------------------------------------------

@@ -105,9 +105,9 @@ class Warp:
         #: (warp, pc), so reuse is exact; cleared when the access
         #: completes.
         self.ctxs = False
-        #: Vector-engine attachments (:mod:`repro.gpu.vector`): the
+        #: Attachments set by ``SmWave.run`` (:mod:`repro.gpu.sm`): the
         #: warp's precomputed pc -> coalesced-transaction table and its
-        #: program's ``batch_ok`` byte array.  Unused by the fast engine.
+        #: program's ``batch_ok`` byte array.
         self.ptx = None
         self.bok = None
 

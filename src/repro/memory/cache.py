@@ -183,14 +183,14 @@ class Cache:
         """Replay *addrs* as zero-weight allocate-on-miss accesses.
 
         Exactly equivalent to ``access(a, weight=0.0)`` per address, in
-        order — the warm path of :meth:`repro.gpu.vector.VectorWave` —
-        but resolved per *set* with array arithmetic: zero-weight
-        accesses leave every statistic unchanged (``x + 0.0 == x`` for
-        the non-negative counters), so the only observable effect is the
-        final tag/LRU state.  For a set that starts empty and sees at
-        most ``assoc`` distinct tags, no access can ever evict, so every
-        access either inserts or moves its tag to MRU and the final
-        state is simply the distinct tags ordered by last occurrence —
+        order — the warm path of
+        :meth:`repro.gpu.sm.SmWave.warm_shared_input` — but resolved
+        per *set* with array arithmetic: zero-weight accesses leave
+        every statistic unchanged (``x + 0.0 == x`` for the non-negative
+        counters), so the only observable effect is the final tag/LRU
+        state.  For a set that starts empty and sees at most ``assoc``
+        distinct tags, no access can ever evict, so every access either
+        inserts or moves its tag to MRU and the final state is simply the distinct tags ordered by last occurrence —
         computed here from numpy set-index/tag arrays without touching
         Python per access.  Sets that start non-empty or overflow the
         associativity fall back to the scalar replay (their evictions

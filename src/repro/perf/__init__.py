@@ -4,8 +4,8 @@
   warm-kernel-cache and warm-run-store whole-network simulations
   (emits ``BENCH_sim.json``).
 * :mod:`repro.perf.serve_bench` — the ``repro bench --serve`` harness
-  timing both serving event loops on a synthetic fleet (emits
-  ``BENCH_serve.json``) and gating the fast loop against the heap.
+  timing the serving event loop on a synthetic fleet (emits
+  ``BENCH_serve.json``).
 
 The kernel-cache layer lives in :mod:`repro.runs.store`; the package
 re-exports its public names for convenience.  (The old

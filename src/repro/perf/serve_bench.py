@@ -8,24 +8,18 @@ queue-depth autoscaler — and the latency profiles are *synthetic*
 discrete-event engine alone: arrivals through admission, scheduling,
 batching, dispatch and completion.
 
-Both event loops are timed back-to-back over the identical scenario,
-``runs`` samples each, and their :meth:`~repro.serve.stats.ServeStats.
-digest` values are cross-checked — the benchmark doubles as an
-equivalence smoke.  The emitted payload maps ``serve-fast`` and
-``serve-heap`` to ``BENCH_sim.json``-shaped entries (``cold_s`` best-
-of-N, mean/std/ci95, ``samples.cold``), so the committed
+The emitted payload maps ``serve`` to a ``BENCH_sim.json``-shaped entry
+(``cold_s`` best-of-N, mean/std/ci95, ``samples.cold``) plus the run's
+:meth:`~repro.serve.stats.ServeStats.digest`, so the committed
 ``BENCH_serve.json`` plugs straight into :func:`repro.perf.bench.
-compare_bench` for same-machine regression tracking, and
-:func:`gate_serve` runs the one-sided Mann-Whitney check that the fast
-loop is not significantly slower than the reference heap on this
-runner.
+compare_bench` for same-machine regression tracking.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.perf.stats import compare_samples, summarize
+from repro.perf.stats import summarize
 from repro.serve.autoscale import AutoscaleConfig
 from repro.serve.devices import build_fleet
 from repro.serve.engine import ServeConfig, ServeSim
@@ -36,7 +30,7 @@ from repro.serve.workload import DiurnalWorkload, PoissonWorkload
 
 #: Scenario scale: enough events that a run takes whole seconds (so
 #: the Mann-Whitney test sees signal over scheduler noise), small
-#: enough that ``--runs 5`` on both loops stays a couple of minutes.
+#: enough that ``--runs 5`` stays well under a minute.
 REQUESTS = 200_000
 DEVICES = 20
 
@@ -79,12 +73,28 @@ def _scenario(requests: int, devices: int, seed: int):
     return ServeSim(fleet, profiles, workload, config, pipeline)
 
 
-def _entry(
-    samples: list[float], loop: str, digest: str, requests: int, devices: int
+def run_serve_bench(
+    requests: int = REQUESTS,
+    devices: int = DEVICES,
+    runs: int = 3,
+    seed: int = 0,
+    verbose: bool = True,
 ) -> dict:
+    """Benchmark the event loop; returns the ``BENCH_serve.json`` payload.
+
+    One discarded warmup run primes allocator and profile memo state
+    before the ``runs`` timed runs.
+    """
+    sim = _scenario(requests, devices, seed)
+    sim.run()  # warmup, discarded
+    samples: list[float] = []
+    for _ in range(max(1, runs)):
+        start = time.perf_counter()
+        stats = sim.run()
+        samples.append(round(time.perf_counter() - start, 6))
     best = min(samples)
     spread = summarize(samples)
-    return {
+    entry = {
         "cold_s": best,
         "cold_mean_s": round(spread["mean"], 6),
         "cold_std_s": round(spread["std"], 6),
@@ -93,66 +103,11 @@ def _entry(
         "requests": requests,
         "devices": devices,
         "throughput_rps": round(requests / best),
-        "loop": loop,
-        "digest": digest,
+        "digest": stats.digest(),
     }
-
-
-def run_serve_bench(
-    requests: int = REQUESTS,
-    devices: int = DEVICES,
-    runs: int = 3,
-    seed: int = 0,
-    verbose: bool = True,
-) -> dict:
-    """Benchmark both event loops; returns the ``BENCH_serve.json`` payload.
-
-    One discarded warmup run primes allocator and profile memo state,
-    then the loops are *interleaved* round by round so clock drift and
-    thermal state bias neither side.  Raises :class:`RuntimeError` if
-    the loops' stats digests disagree — a bit-identity failure is a
-    correctness bug, not a perf number.
-    """
-    sim = _scenario(requests, devices, seed)
-    loops = ("fast", "heap")
-    sim.run(loops[0])  # warmup, discarded
-    samples: dict[str, list[float]] = {loop: [] for loop in loops}
-    digests: dict[str, str] = {}
-    for _ in range(max(1, runs)):
-        for loop in loops:
-            start = time.perf_counter()
-            stats = sim.run(loop)
-            samples[loop].append(round(time.perf_counter() - start, 6))
-            digests[loop] = stats.digest()
-    if digests["fast"] != digests["heap"]:
-        raise RuntimeError(
-            f"event loops diverged: fast digest {digests['fast'][:16]}... "
-            f"!= heap digest {digests['heap'][:16]}..."
-        )
-    payload: dict = {}
-    for loop in loops:
-        entry = _entry(samples[loop], loop, digests[loop], requests, devices)
-        payload[f"serve-{loop}"] = entry
-        if verbose:
-            print(f"serve-{loop}   cold={entry['cold_s']:8.3f}s"
-                  f"±{entry['cold_std_s']:.3f} "
-                  f"throughput={entry['throughput_rps']:,} req/s "
-                  f"({requests:,} requests, {devices} devices)", flush=True)
-    return payload
-
-
-def gate_serve(
-    payload: dict, threshold: float = 1.25, alpha: float = 0.05
-) -> dict:
-    """The fast-loop gate: not significantly slower than the heap loop.
-
-    Feeds the heap loop's cold samples (baseline) and the fast loop's
-    (candidate) to :func:`repro.perf.stats.compare_samples`; the
-    verdict's ``slower`` means the fast path regressed on this machine.
-    """
-    return compare_samples(
-        payload["serve-heap"]["samples"]["cold"],
-        payload["serve-fast"]["samples"]["cold"],
-        threshold=threshold,
-        alpha=alpha,
-    )
+    if verbose:
+        print(f"serve   cold={entry['cold_s']:8.3f}s"
+              f"±{entry['cold_std_s']:.3f} "
+              f"throughput={entry['throughput_rps']:,} req/s "
+              f"({requests:,} requests, {devices} devices)", flush=True)
+    return {"serve": entry}

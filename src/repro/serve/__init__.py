@@ -10,8 +10,8 @@ does each policy mix deliver?
 The layer cake — the staged request pipeline is documented in
 :mod:`repro.serve.pipeline` and DESIGN.md §15:
 
-* :mod:`repro.serve.events` — the deterministic event queues (the
-  reference heap and the slotted fast path);
+* :mod:`repro.serve.events` — the deterministic event queue (a binary
+  heap with FIFO tie-breaking);
 * :mod:`repro.serve.profiles` — per-(network, device, batch) latency
   profiles derived from batch-1 :func:`simulate_network` runs (through
   the persistent kernel-result cache), carrying the GPUWattch energy
@@ -30,14 +30,13 @@ The layer cake — the staged request pipeline is documented in
   trace replay) and closed-loop request generators;
 * :mod:`repro.serve.pipeline` — the pluggable stage bundle;
 * :mod:`repro.serve.scenario` — the TOML scenario loader;
-* :mod:`repro.serve.engine` — the simulator itself (both event loops);
+* :mod:`repro.serve.engine` — the simulator itself (one event loop);
 * :mod:`repro.serve.stats` — the :class:`ServeStats` result container;
 * :mod:`repro.serve.report` — markdown reporting in the harness style.
 
 Everything is deterministic: one ``random.Random(seed)`` drives all
 stochastic choices and the event queue breaks time ties by insertion
-order, so a fixed seed reproduces ``ServeStats`` bit-for-bit — under
-either event loop.
+order, so a fixed seed reproduces ``ServeStats`` bit-for-bit.
 """
 
 from repro.serve.admission import (
@@ -54,8 +53,8 @@ from repro.serve.autoscale import (
 )
 from repro.serve.batching import DynamicBatcher, Request
 from repro.serve.devices import ServeDevice, build_fleet
-from repro.serve.engine import LOOPS, ServeConfig, ServeSim, default_loop, run_serve
-from repro.serve.events import EventQueue, SlottedEventQueue
+from repro.serve.engine import ServeConfig, ServeSim, run_serve
+from repro.serve.events import EventQueue
 from repro.serve.pipeline import ServePipeline, make_pipeline
 from repro.serve.profiles import LatencyProfile, build_profiles, profile_from_result
 from repro.serve.scenario import ScenarioError, ServeScenario, load_scenario
@@ -89,7 +88,6 @@ __all__ = [
     "DiurnalWorkload",
     "DynamicBatcher",
     "EventQueue",
-    "LOOPS",
     "LatencyProfile",
     "MultiTenantWorkload",
     "NullAdmission",
@@ -106,14 +104,12 @@ __all__ = [
     "ServeSim",
     "ServeStats",
     "SloAwareAdmission",
-    "SlottedEventQueue",
     "Tenant",
     "TenantServeStats",
     "TraceWorkload",
     "Workload",
     "build_fleet",
     "build_profiles",
-    "default_loop",
     "default_tenant",
     "load_scenario",
     "make_admission",

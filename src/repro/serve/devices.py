@@ -11,7 +11,7 @@ per-network dynamic batchers, a bounded admission queue, busy/idle and
 active-span bookkeeping, the energy accumulators, and the counters
 that end up in ``ServeStats``.
 
-Two representation choices serve the event-loop fast path while
+Two representation choices keep the event loop's hot path cheap while
 staying observationally identical to the original design:
 
 * ``pending`` is an *incremental* counter (updated on enqueue and

@@ -71,7 +71,7 @@ def regen_serve_scale() -> None:
     )
     stats = run_serve(
         fleet, profiles, scenario.workload(), scenario.config,
-        pipeline=scenario.pipeline(), loop=scenario.loop,
+        pipeline=scenario.pipeline(),
     )
     path = GOLDEN_DIR / "serve_scale.digest"
     path.write_text(stats.digest() + "\n")

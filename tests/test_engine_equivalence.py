@@ -1,14 +1,12 @@
 """Optimized engines vs the frozen seed engine: bit-identical results.
 
-The event-heap issue loop in :mod:`repro.gpu.sm` (the ``fast`` engine)
-and its numpy-vectorized extension in :mod:`repro.gpu.vector` (the
-``vector`` engine, the default) are optimizations of the seed engine's
-per-cycle warp scan (:mod:`repro.gpu.seed_engine`), not remodels:
-every KernelStats field must match exactly — cycles, per-pipe issue
-counts, sampled stall attribution, cache/DRAM traffic and
-register-file activity.  These tests pin that contract for *both*
-engines, per scheduler, and pin that persistent-cache hits reproduce
-fresh simulations exactly.
+The issue loop in :mod:`repro.gpu.sm` (the ``vector`` engine, the
+default) is an optimization of the seed engine's per-cycle warp scan
+(:mod:`repro.gpu.seed_engine`), not a remodel: every KernelStats field
+must match exactly — cycles, per-pipe issue counts, sampled stall
+attribution, cache/DRAM traffic and register-file activity.  These
+tests pin that contract per scheduler, and pin that persistent-cache
+hits reproduce fresh simulations exactly.
 
 The light-options cases run in tier-1; the full-fidelity sweep over all
 seven networks is ``slow`` (``pytest -m slow``).
@@ -29,8 +27,9 @@ from repro.platforms import GK210, GP102
 
 from repro.core.suite import NETWORK_ORDER
 
-#: The optimized engines under test (the seed engine is the oracle).
-FAST_ENGINES = ("fast", "vector")
+#: The optimized engine under test (the seed engine is the oracle);
+#: parametrized so every test id names the engine it checked.
+OPTIMIZED_ENGINES = ("vector",)
 
 
 @contextmanager
@@ -49,32 +48,23 @@ def _assert_identical(a, b) -> None:
 
 
 class TestLightEquivalence:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     @pytest.mark.parametrize("scheduler", ["gto", "lrr", "tlv"])
     @pytest.mark.parametrize("network", ["gru", "cifarnet"])
     def test_matches_seed_engine(self, network, scheduler, engine):
         options = SimOptions(scheduler=scheduler).light()
         seed = seed_engine.simulate_network(network, GP102, options)
         with forced_engine(engine):
-            fast = simulate_network(network, GP102, options)
-        _assert_identical(seed, fast)
+            result = simulate_network(network, GP102, options)
+        _assert_identical(seed, result)
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     def test_matches_seed_engine_gk210(self, engine):
         options = SimOptions().light()
         seed = seed_engine.simulate_network("squeezenet", GK210, options)
         with forced_engine(engine):
-            fast = simulate_network("squeezenet", GK210, options)
-        _assert_identical(seed, fast)
-
-    def test_fast_and_vector_agree(self):
-        # Transitivity check at a config the seed sweep above skips.
-        options = SimOptions(scheduler="tlv").light()
-        with forced_engine("fast"):
-            fast = simulate_network("squeezenet", GK210, options)
-        with forced_engine("vector"):
-            vec = simulate_network("squeezenet", GK210, options)
-        _assert_identical(fast, vec)
+            result = simulate_network("squeezenet", GK210, options)
+        _assert_identical(seed, result)
 
 
 class TestCacheEquivalence:
@@ -102,25 +92,11 @@ class TestCacheEquivalence:
         # Hits hand out fresh stats objects, never aliases.
         assert first.kernels[0].stats is not second.kernels[0].stats
 
-    def test_engines_never_share_cache_entries(self, tmp_path):
-        # The same directory serves both engines without aliasing:
-        # engine_version() is folded into every cache key.
-        options = SimOptions().light()
-        cache = KernelResultCache(tmp_path)
-        with forced_engine("fast"):
-            simulate_network("gru", GP102, options, cache=cache)
-        stores_fast = cache.stores
-        with forced_engine("vector"):
-            result = simulate_network("gru", GP102, options, cache=cache)
-        assert cache.stores == 2 * stores_fast and cache.hits == 0
-        assert result.kernels
-
 
 class TestDedupEquivalence:
     """The canonical-signature dedup gate: replicating a simulated
     kernel's stats onto signature-identical launches must be
-    *bit-identical* to simulating every launch from scratch — under
-    every optimized engine."""
+    *bit-identical* to simulating every launch from scratch."""
 
     @pytest.mark.parametrize("network", NETWORK_ORDER)
     def test_dedup_on_matches_dedup_off(self, network):
@@ -131,10 +107,10 @@ class TestDedupEquivalence:
         assert off.unique_kernels == on.unique_kernels
         assert on.unique_kernels <= len(on.kernels)
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     def test_dedup_cross_engine_matches_seed(self, engine):
         # Dedup x engine: the seed oracle (which always dedups at the
-        # signature level) must agree with each optimized engine both
+        # signature level) must agree with the optimized engine both
         # with and without the dedup gate.
         options = SimOptions().light()
         seed = seed_engine.simulate_network("resnet", GP102, options)
@@ -155,13 +131,13 @@ class TestDedupEquivalence:
 @pytest.mark.slow
 @pytest.mark.parametrize("network", NETWORK_ORDER)
 class TestFullFidelityEquivalence:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     def test_matches_seed_engine(self, network, engine):
         options = SimOptions()
         seed = seed_engine.simulate_network(network, GP102, options)
         with forced_engine(engine):
-            fast = simulate_network(network, GP102, options)
-        _assert_identical(seed, fast)
+            result = simulate_network(network, GP102, options)
+        _assert_identical(seed, result)
 
     def test_dedup_on_matches_dedup_off_full(self, network):
         options = SimOptions()

@@ -12,7 +12,7 @@ simulating.  These tests pin:
   ``dedup=False`` runs, with the reuse asserted to have fired (light
   tier-1 networks here, all seven under ``pytest -m slow``);
 * the cases that must never reuse: a wave that evicted, a bypassed L1,
-  ``dedup=False``, the seed engine and a different engine.
+  ``dedup=False`` and the seed engine.
 """
 
 from __future__ import annotations
@@ -227,11 +227,3 @@ class TestNoReuse:
             simulate_network("cifarnet", _gp102(64), LIGHT, l1_memo=memo)
             simulate_network("cifarnet", _gp102(128), LIGHT, l1_memo=memo)
         assert memo._runs == {} and memo.reused == 0
-
-    def test_engines_do_not_share_entries(self):
-        memo = L1Memo()
-        with forced_engine("fast"):
-            simulate_network("cifarnet", _gp102(64), LIGHT, l1_memo=memo)
-        with forced_engine("vector"):
-            simulate_network("cifarnet", _gp102(128), LIGHT, l1_memo=memo)
-        assert memo._runs and memo.reused == 0

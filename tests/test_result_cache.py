@@ -62,11 +62,11 @@ class TestKeyContract:
         )
 
     def test_engine_version_invalidates(self, monkeypatch):
-        import repro.gpu.vector as vector
+        import repro.gpu.sm as sm
 
         base = SimOptions()
         before = cache_key(self.SIG, GP102, base)
-        monkeypatch.setattr(vector, "ENGINE_VERSION", "test-engine")
+        monkeypatch.setattr(sm, "ENGINE_VERSION", "test-engine")
         assert cache_key(self.SIG, GP102, base) != before
 
     def test_stale_engine_entry_not_returned(self, tmp_path, monkeypatch):

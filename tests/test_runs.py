@@ -83,17 +83,17 @@ class TestRunKey:
         )
 
     def test_key_differs_by_engine_version(self, monkeypatch):
-        import repro.gpu.vector as vector
+        import repro.gpu.sm as sm
 
         before = run_key("gru", GP102, LIGHT)
-        monkeypatch.setattr(vector, "ENGINE_VERSION", "test-engine")
+        monkeypatch.setattr(sm, "ENGINE_VERSION", "test-engine")
         assert run_key("gru", GP102, LIGHT) != before
 
     def test_key_differs_by_engine(self, monkeypatch):
         from repro.gpu import engine
 
         before = run_key("gru", GP102, LIGHT)
-        monkeypatch.setattr(engine, "_forced", "fast")
+        monkeypatch.setattr(engine, "_forced", "seed")
         assert run_key("gru", GP102, LIGHT) != before
 
 
@@ -278,9 +278,9 @@ class TestStore:
         assert result.total_cycles > 0
 
     def test_engine_bump_misses_stale_run(self, tmp_path, monkeypatch):
-        import repro.gpu.vector as vector
+        import repro.gpu.sm as sm
 
         spec = RunSpec("gru", GP102, LIGHT)
         Executor(ResultStore(tmp_path)).run(spec)
-        monkeypatch.setattr(vector, "ENGINE_VERSION", "test-engine")
+        monkeypatch.setattr(sm, "ENGINE_VERSION", "test-engine")
         assert ResultStore(tmp_path).get_run(spec) is None

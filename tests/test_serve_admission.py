@@ -173,7 +173,7 @@ class TestEngineIntegration:
             (Tenant("bronze", slo_ms=6.0, priority=2),
              PoissonWorkload(500.0, 300, ["net"])),
         ])
-        return ServeSim(fleet, profiles, workload, config).run("fast")
+        return ServeSim(fleet, profiles, workload, config).run()
 
     def test_shed_reasons_populated_and_consistent(self, tiny_gpu):
         stats = self.run(tiny_gpu, "slo-aware")

@@ -160,17 +160,24 @@ class TestScenarioCli:
         assert {"total_j", "cost_per_request_j"} <= set(stats["energy"])
         assert sum(stats["shed_reasons"].values()) == stats["shed"]
 
-    def test_scenario_loop_override_is_equivalent(self, capsys, tmp_path):
-        path = self.write_scenario(tmp_path)
-        args = [
+    def test_malformed_scenario_is_one_line_diagnosis(self, capsys, tmp_path):
+        # An unknown key (here an event-loop selector) makes a scenario
+        # malformed: exit 2 with one stderr line, never a traceback.
+        path = tmp_path / "scenario.toml"
+        path.write_text(
+            SCENARIO_TOML.replace("seed = 3\n", 'seed = 3\nloop = "fast"\n')
+        )
+        exit_code = main([
             "serve", "--scenario", str(path), "--light",
             "--cache-dir", str(tmp_path), "--json",
-        ]
-        assert main(args + ["--loop", "heap"]) == 0
-        heap = json.loads(capsys.readouterr().out)
-        assert main(args + ["--loop", "fast"]) == 0
-        fast = json.loads(capsys.readouterr().out)
-        assert fast == heap
+        ])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "serve scenario: unknown key 'loop' in [scenario]; "
+            "known keys: name, description, seed\n"
+        )
 
     def test_scenario_text_output_mentions_tenants(self, capsys, tmp_path):
         path = self.write_scenario(tmp_path)

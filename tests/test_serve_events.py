@@ -1,28 +1,10 @@
-"""Tests for the deterministic event queues of ``repro.serve.events``.
-
-``EventQueue`` is the reference binary heap; ``SlottedEventQueue`` is
-the bucketed fast path that must yield the *identical* event stream
-under the no-time-travel invariant (pushes never schedule before the
-most recently popped time).  The equivalence tests here replay random
-interleaved push/pop schedules through both and compare element for
-element.
-"""
+"""Tests for the deterministic event queue of ``repro.serve.events``."""
 
 from __future__ import annotations
 
 import random
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.serve.events import (
-    ARRIVAL,
-    COMPLETE,
-    FLUSH,
-    EventQueue,
-    SlottedEventQueue,
-)
+from repro.serve.events import ARRIVAL, COMPLETE, FLUSH, EventQueue
 
 
 class TestEventQueue:
@@ -67,116 +49,3 @@ class TestEventQueue:
         popped = [queue.pop().time_ms for _ in range(len(times))]
         assert popped == sorted(times)
 
-
-def drain_schedule(queue, schedule, rng):
-    """Replay *schedule* (list of push-time offsets) against *queue*.
-
-    Interleaves pushes and pops the way the engine does: each pop
-    advances a clock, and subsequent pushes land at or after it (the
-    no-time-travel invariant).  Returns the popped (time_ms, seq)
-    stream.
-    """
-    popped = []
-    clock = 0.0
-    pending = list(schedule)
-    while pending or queue:
-        # Push a random prefix of the remaining offsets at >= clock.
-        while pending and (not queue or rng.random() < 0.6):
-            offset = pending.pop()
-            queue.push(clock + offset, ARRIVAL, len(popped))
-        event = queue.pop()
-        clock = event.time_ms
-        popped.append((event.time_ms, event.seq))
-    return popped
-
-
-class TestSlottedEventQueue:
-    def test_matches_reference_heap_on_random_schedules(self):
-        for seed in range(20):
-            rng = random.Random(seed)
-            offsets = [
-                rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, rng.uniform(0, 12)])
-                for _ in range(300)
-            ]
-            heap_stream = drain_schedule(
-                EventQueue(), offsets, random.Random(seed + 1000)
-            )
-            slot_stream = drain_schedule(
-                SlottedEventQueue(), offsets, random.Random(seed + 1000)
-            )
-            assert slot_stream == heap_stream
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        offsets=st.lists(
-            st.floats(0.0, 20.0, allow_nan=False), min_size=1, max_size=120
-        ),
-        slot_ms=st.sampled_from([0.5, 1.0, 2.0, 7.3]),
-        seed=st.integers(0, 2**16),
-    )
-    def test_property_identical_streams(self, offsets, slot_ms, seed):
-        heap_stream = drain_schedule(
-            EventQueue(), list(offsets), random.Random(seed)
-        )
-        slot_stream = drain_schedule(
-            SlottedEventQueue(slot_ms), list(offsets), random.Random(seed)
-        )
-        assert slot_stream == heap_stream
-
-    def test_ties_break_by_insertion_order(self):
-        queue = SlottedEventQueue()
-        for index in range(10):
-            queue.push(5.0, FLUSH, index)
-        assert [queue.pop().payload for _ in range(10)] == list(range(10))
-
-    def test_pop_same_time_returns_complete_batch(self):
-        queue = SlottedEventQueue()
-        queue.push(2.0, ARRIVAL, "a")
-        queue.push(1.0, COMPLETE, "x")
-        queue.push(1.0, ARRIVAL, "y")
-        queue.push(3.0, FLUSH, "b")
-        batch = queue.pop_same_time()
-        assert [e.payload for e in batch] == ["x", "y"]
-        assert [e.payload for e in queue.pop_same_time()] == ["a"]
-        assert [e.payload for e in queue.pop_same_time()] == ["b"]
-        assert not queue
-
-    def test_pop_same_time_defers_pushes_at_current_timestamp(self):
-        # An event pushed at the batch's own timestamp *during*
-        # processing must surface in the NEXT call — exactly when the
-        # reference heap would pop it.
-        queue = SlottedEventQueue()
-        queue.push(1.0, ARRIVAL, "first")
-        batch = queue.pop_same_time()
-        assert [e.payload for e in batch] == ["first"]
-        queue.push(1.0, FLUSH, "second")
-        assert [e.payload for e in queue.pop_same_time()] == ["second"]
-
-    def test_push_into_current_bucket_stays_sorted(self):
-        queue = SlottedEventQueue(slot_ms=10.0)
-        queue.push(1.0, ARRIVAL, "a")
-        queue.push(5.0, ARRIVAL, "c")
-        assert queue.pop().payload == "a"
-        # 3.0 shares the (10 ms) bucket already being drained.
-        queue.push(3.0, ARRIVAL, "b")
-        assert [queue.pop().payload for _ in range(2)] == ["b", "c"]
-
-    def test_peek_len_and_bool(self):
-        queue = SlottedEventQueue()
-        assert queue.peek_time() is None
-        assert not queue
-        assert len(queue) == 0
-        queue.push(4.5, ARRIVAL)
-        queue.push(2.5, ARRIVAL)
-        assert queue.peek_time() == 2.5
-        assert len(queue) == 2
-        assert queue
-        queue.pop()
-        assert queue.peek_time() == 4.5
-        assert len(queue) == 1
-
-    def test_invalid_slot_ms_rejected(self):
-        with pytest.raises(ValueError, match="slot_ms"):
-            SlottedEventQueue(slot_ms=0.0)
-        with pytest.raises(ValueError, match="slot_ms"):
-            SlottedEventQueue(slot_ms=-1.0)

@@ -128,7 +128,7 @@ class TestEngineAttribution:
             slo_ms=15.0, max_batch=4, max_queue=16,
             scheduler="least-loaded", seed=17, admission="slo-aware",
         )
-        stats = ServeSim(fleet, profiles, workload, config).run("fast")
+        stats = ServeSim(fleet, profiles, workload, config).run()
         per = stats.per_tenant
         assert set(per) == {"open", "closed"}
         assert sum(t.offered for t in per.values()) == stats.offered
@@ -148,7 +148,7 @@ class TestEngineAttribution:
         config = ServeConfig(slo_ms=10.0, seed=1)
         stats = ServeSim(
             fleet, profiles, PoissonWorkload(100.0, 50, ["net"]), config
-        ).run("fast")
+        ).run()
         assert set(stats.per_tenant) == {DEFAULT_TENANT_NAME}
         assert stats.per_tenant[DEFAULT_TENANT_NAME].offered == 50
         assert stats.per_tenant[DEFAULT_TENANT_NAME].slo_ms == 10.0

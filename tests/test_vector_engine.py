@@ -2,7 +2,8 @@
 
 The whole-network bit-identity gate lives in
 ``test_engine_equivalence.py``; this file pins the pieces the vector
-engine is assembled from, each against the scalar path it replaces:
+engine (:mod:`repro.gpu.sm`) is assembled from, each against the
+scalar path it replaces:
 
 * the engine registry (selection precedence, version strings, wave
   classes, seed delegation);
@@ -30,7 +31,6 @@ from repro.gpu.decode import K_ALU, K_CTRL, K_GMEM, decode_program
 from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.simulator import _GUARD_DECODED, _make_hierarchy, simulate_network
 from repro.gpu.sm import SmWave, _gmem_txs
-from repro.gpu.vector import VectorWave
 from repro.isa.program import expand_program
 from repro.kernels.addressing import Term
 from repro.kernels.compile import compiled_network
@@ -50,15 +50,15 @@ class TestEngineRegistry:
         assert engine_registry.get_engine() == "vector"
 
     def test_env_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(engine_registry.ENGINE_ENV, "fast")
-        assert engine_registry.get_engine() == "fast"
+        monkeypatch.setenv(engine_registry.ENGINE_ENV, "seed")
+        assert engine_registry.get_engine() == "seed"
 
     def test_set_engine_beats_env(self, monkeypatch, reset_engine):
-        monkeypatch.setenv(engine_registry.ENGINE_ENV, "fast")
-        engine_registry.set_engine("seed")
-        assert engine_registry.get_engine() == "seed"
+        monkeypatch.setenv(engine_registry.ENGINE_ENV, "seed")
+        engine_registry.set_engine("vector")
+        assert engine_registry.get_engine() == "vector"
         engine_registry.set_engine(None)
-        assert engine_registry.get_engine() == "fast"
+        assert engine_registry.get_engine() == "seed"
 
     def test_invalid_names_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -69,14 +69,14 @@ class TestEngineRegistry:
 
     def test_version_strings(self):
         assert engine_registry.engine_version("seed") == "seed-1"
-        assert engine_registry.engine_version("fast") == "fast-2.1"
         assert engine_registry.engine_version("vector") == "fast-3"
 
     def test_wave_classes(self):
-        assert engine_registry.wave_class("fast") is SmWave
-        assert engine_registry.wave_class("vector") is VectorWave
+        assert engine_registry.wave_class("vector") is SmWave
         with pytest.raises(ValueError):
             engine_registry.wave_class("seed")
+        with pytest.raises(ValueError, match="unknown engine"):
+            engine_registry.wave_class("fast")
 
     def test_seed_engine_delegation(self, reset_engine):
         # With the seed engine forced, the simulator facade must hand
@@ -100,7 +100,7 @@ def _make_wave(kernel, options):
     sim_blocks = occupancy.blocks
     if options.max_sim_blocks is not None:
         sim_blocks = max(1, min(sim_blocks, options.max_sim_blocks))
-    wave = VectorWave(
+    wave = SmWave(
         kernel, decoded, _GUARD_DECODED, sim_blocks,
         GP102, options, _make_hierarchy(GP102),
     )
