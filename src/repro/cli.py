@@ -213,6 +213,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return err
     config = make_config(args.platform)
     options = _sim_options(args)
+    baseline = _read_baseline(args)
     payload = run_bench(
         names,
         config,
@@ -228,21 +229,30 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"wrote {args.output}")
-    return _compare_to_baseline(args, payload, "bench")
+    return _compare_to_baseline(args, baseline, payload, "bench")
 
 
-def _compare_to_baseline(args: argparse.Namespace, payload: dict, prog: str) -> int:
+def _read_baseline(args: argparse.Namespace) -> dict | None:
+    """The ``--compare`` baseline, read before ``--output`` is written
+    (the two may name the same file)."""
+    from repro.perf.bench import read_bench
+
+    return None if args.compare is None else read_bench(args.compare)
+
+
+def _compare_to_baseline(
+    args: argparse.Namespace, baseline: dict | None, payload: dict, prog: str
+) -> int:
     """``--compare PATH``: print a verdict per entry; 1 on a significant
     slowdown (0 when no baseline was given)."""
     import json
 
-    from repro.perf.bench import compare_bench, read_bench
+    from repro.perf.bench import compare_bench
 
-    if args.compare is None:
+    if baseline is None:
         return 0
     report = compare_bench(
-        read_bench(args.compare), payload,
-        threshold=args.threshold, alpha=args.alpha,
+        baseline, payload, threshold=args.threshold, alpha=args.alpha,
     )
     if args.json:
         print(json.dumps(report, indent=2))
@@ -271,6 +281,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     from repro.perf.serve_bench import run_serve_bench
 
     output = args.output if args.output != "BENCH_sim.json" else "BENCH_serve.json"
+    baseline = _read_baseline(args)
     payload = run_serve_bench(
         requests=args.serve_requests,
         devices=args.serve_devices,
@@ -282,7 +293,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"wrote {output}")
-    return _compare_to_baseline(args, payload, "bench --serve")
+    return _compare_to_baseline(args, baseline, payload, "bench --serve")
 
 
 def _make_workload(args: argparse.Namespace, names: list[str]):

@@ -80,7 +80,10 @@ class SimOptions:
     #: contiguous 32-iteration chunks, long enough to preserve per-line
     #: reuse in streaming loops (see ``repro.isa.program``).
     max_trips: int | None = 64
-    #: Outer (per-thread output) loop sampling budget.
+    #: Outer (per-thread output) loop sampling budget.  None does not
+    #: mean unsampled: outer loops then fall back to ``max_trips``
+    #: (``repro.isa.program.expand_program``), so with the default 64
+    #: an outer loop of more than 64 trips is still sampled.
     max_outer_trips: int | None = 2
     #: Cap on resident blocks simulated per SM (None = full residency).
     max_sim_blocks: int | None = None
@@ -95,8 +98,3 @@ class SimOptions:
     def light(self) -> "SimOptions":
         """A cheap variant for tests: heavier sampling, same behaviour."""
         return replace(self, max_trips=6, max_outer_trips=1, max_sim_blocks=2)
-
-
-def expand_budget(options: SimOptions, has_nested_loop: bool) -> int | None:
-    """Trip budget for a loop: outer loops get the smaller budget."""
-    return options.max_outer_trips if has_nested_loop else options.max_trips

@@ -18,12 +18,15 @@ charged by GTO/TLV only.
 A note on the ``order`` generators: they re-read scheduler state
 (``_current``, ``_next``, ``_rr``, the TLV queues) *live*, per yield,
 while ``notify_issue`` mutates that state mid-consumption.  Those
-interleavings are part of the modelled policies and the optimized
-engine in :mod:`repro.gpu.sm` depends on reproducing them exactly — it
-inlines GTO (whose interleaving provably reduces to "current first,
-then oldest ready") as bitmask iteration, and drives LRR/TLV through
-these generators unchanged.  Do not "simplify" the generators into
-pre-materialized lists; that changes issue order.
+interleavings are part of the modelled policies.  These classes are
+the reference definition of each policy: the seed oracle
+(:mod:`repro.gpu.seed_engine`) drives them as written.  The optimized
+engine in :mod:`repro.gpu.sm` never calls them; it inlines all three on
+its ready bitmask and reproduces every live re-read — LRR's position
+moving mid-walk, TLV's pointer moving mid-walk and its pending-list
+cursor skipping the entry after a promotion (DESIGN.md section 13).
+Do not "simplify" the generators into pre-materialized lists; that
+changes issue order.
 """
 
 from __future__ import annotations

@@ -23,10 +23,21 @@ This is a performance rewrite of the original loop (kept verbatim in
   tuples, so an issue attempt does no attribute/enum/dict lookups.
 * The sampled stall sweep reads per-reason counts of sleeping warps
   (``bcnt``) plus the ready-set population instead of scanning warps.
-* The GTO policy (current warp first, then oldest ready) is inlined as
-  bitmask iteration.  LRR/TLV keep the seed scheduler objects: their
-  generators' lazy consumption and live state reads are part of the
-  modelled policy, and they only run in the Fig 15/16 sweeps.
+* All three policies are inlined on the ready bitmask; the generators
+  in :mod:`repro.gpu.scheduler` stay the seed oracle's definition.  GTO
+  (current warp first, then oldest ready) is bitmask iteration.  LRR
+  keeps its next position as an int and jumps to the lowest ready bit
+  of the mask rotated to its walk offsets.  TLV keeps its active group,
+  pending list and round-robin pointer as local lists and ints.  Both
+  reproduce the generators' live re-reads: the position moves after
+  each issue mid-walk, and a promotion deletes the pending entry under
+  the list cursor, so the next entry is skipped.
+* **Port-cohort herding.**  Warps whose checked instruction waits on a
+  port that frees next cycle would, if tried, only be re-queued for
+  next cycle.  So at walk start, and after an interval-1 issue, the
+  whole cohort is re-queued untried.  On sampling cycles each such warp
+  is credited PIPE_BUSY if the policy's walk would have reached it and
+  NOT_SELECTED otherwise.
 * Fetch and scoreboard checks are skipped on replay (``Warp.chk``):
   programs are straight-line and a warp's scoreboard only changes on
   its own issues, so both checks are monotonic while the warp sleeps.
@@ -46,10 +57,11 @@ This is a performance rewrite of the original loop (kept verbatim in
   overflows — computed wholesale from tag/set-index arrays by
   :meth:`repro.memory.cache.Cache.bulk_warm`, with a scalar replay
   fallback for the (rare) sets whose evictions depend on access order.
-* **Solo-warp batch issue.**  When exactly one warp is awake under GTO
-  — every other warp asleep on a long latency, parked at a barrier, or
-  retired — the general candidate walk degenerates to "issue the next
-  instruction if its sources are ready".  The batch loop issues whole
+* **Solo-warp batch issue.**  When exactly one warp is awake — every
+  other warp asleep on a long latency, parked at a barrier, or retired
+  — no policy has a choice to make, and the general candidate walk
+  degenerates to "issue the next instruction if its sources are
+  ready".  The batch loop issues whole
   ALU/CTRL runs (``ProgramSoA.batch_ok``) in a tight loop: single-cycle
   ports freed by the previous cycle can never block the only awake
   warp, the sleeper stall-buckets are constant for the duration, and
@@ -78,7 +90,7 @@ from repro.gpu.decode import (
     K_SMEM,
     PIPES,
 )
-from repro.gpu.scheduler import GtoScheduler, make_scheduler
+from repro.gpu.scheduler import GtoScheduler, LrrScheduler, make_scheduler
 from repro.gpu.warp import Warp
 from repro.kernels.launch import KernelLaunch, WARP_SIZE
 from repro.memory.coalescer import TRANSACTION_BYTES
@@ -177,6 +189,47 @@ def _gmem_txs(warp: Warp, pc: int, gmem) -> "list[int] | tuple | None":
         if last != first:
             return [first << _TX_SHIFT, last << _TX_SHIFT]
     return [first << _TX_SHIFT]
+
+
+def _bits(ids) -> int:
+    """Bitmask of the warp ids in *ids*."""
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
+
+
+def _tlv_refill(active: list, pending: list, warps: list, group: int) -> tuple:
+    """``TlvScheduler.order``'s prologue on the engine's own queues.
+
+    Drops retired warps from the active group and promotes pending
+    warps into it (retired ones are discarded as they come up); returns
+    the new group, the lengths of both queues and their bitmasks.
+    ``notify_issue`` keeps both queue lengths, so between retirements
+    this prologue is a no-op and the engine runs it only after one.
+    """
+    active = [i for i in active if not warps[i].done]
+    while len(active) < group and pending:
+        candidate = pending.pop(0)
+        if not warps[candidate].done:
+            active.append(candidate)
+    return active, len(active), len(pending), _bits(active), _bits(pending)
+
+
+def _tlv_promote(active: list, pending: list, at: int, wid: int) -> int:
+    """``TlvScheduler.notify_issue`` for warp *wid* issued from ``pending[at]``.
+
+    The warp swaps places with the head of the active group (never
+    empty during a walk: it holds a live warp until all have retired).
+    Deleting ``pending[at]`` under the walk's list cursor skips the next
+    entry, as it does in the generator.  Returns the bits of both
+    warps, which change queues.
+    """
+    del pending[at]
+    demoted = active.pop(0)
+    pending.append(demoted)
+    active.append(wid)
+    return 1 << wid | 1 << demoted
 
 
 class SmWave:
@@ -373,9 +426,22 @@ class SmWave:
             return self.stats
 
         scheduler = make_scheduler(self.options.scheduler, warps, self.options.tlv_group)
-        gto = type(scheduler) is GtoScheduler
-        notify = scheduler.notify_issue
+        policy = type(scheduler)
+        gto = policy is GtoScheduler
+        lrr = policy is LrrScheduler
+        tlv = not (gto or lrr)
         queue_penalty = self.options.queue_penalty if scheduler.manages_queues else 0
+        nw = len(warps)
+        # Policy state, as the seed's scheduler objects hold it: LRR's
+        # next position, TLV's queues and round-robin pointer.
+        lnext = 0
+        full = (1 << nw) - 1
+        tgroup = max(1, self.options.tlv_group)
+        active = list(range(min(tgroup, nw)))
+        pending = list(range(len(active), nw))
+        trr = 0
+        tlive = -1  # `live` at TLV's last queue refill (-1: none yet)
+        na = plen = amask = pmask = 0
         sample = max(1, self.options.stall_sample)
 
         hier = self.hier
@@ -438,7 +504,7 @@ class SmWave:
                 raise RuntimeError(
                     f"{kernel_name}: wave exceeded {_MAX_CYCLES} cycles"
                 )
-            # ---- solo-warp batch fast path (GTO only) ----------------
+            # ---- solo-warp batch fast path ---------------------------
             # At the loop top `nxt`/`herd` are always drained, sleepers
             # due by `cycle` have woken, and every single-cycle port is
             # free (its last issue was before this cycle).  With exactly
@@ -447,13 +513,21 @@ class SmWave:
             # runs (ProgramSoA.batch_ok) advance in a tight loop:
             # sleeper stall-buckets are constant for the window and the
             # sampled sweep reduces to integer credits on the sample
-            # grid — bit-exact, nothing float is reordered.
-            if gto and mask and cycle >= bubble_until and not (mask & (mask - 1)):
+            # grid — bit-exact, nothing float is reordered.  With one
+            # warp awake no policy has a choice to make.
+            if mask and cycle >= bubble_until and not (mask & (mask - 1)):
                 wid = mask.bit_length() - 1
                 w = warps[wid]
                 pc = w.pc
                 bok = w.bok
-                if bok[pc]:
+                if tlv and tlive != live:
+                    active, na, plen, amask, pmask = _tlv_refill(
+                        active, pending, warps, tgroup
+                    )
+                    tlive = live
+                # A solo warp still in TLV's pending list is promoted by
+                # one general walk first; the batch runs from the group.
+                if bok[pc] and (not tlv or amask >> wid & 1):
                     nwindows += 1
                     if w.cm >= 0:  # will issue now: drop the port cohort bit
                         cmask[w.cm] &= ~mask
@@ -532,7 +606,15 @@ class SmWave:
                             break
                     w.pc = pc
                     if issued_any:
-                        cur = w
+                        # Every issue of the window notified the policy
+                        # with the same warp; the last notify is the
+                        # first one's repeat.
+                        if gto:
+                            cur = w
+                        elif lrr:
+                            lnext = wid + 1 if wid + 1 < nw else 0
+                        else:
+                            trr = (active.index(wid) + 1) % na
                     if asleep:
                         mask = 0
                     batch_cycles += c - cycle
@@ -548,54 +630,139 @@ class SmWave:
             if cycle >= bubble_until:
                 nxtc = cycle + 1
                 sdrop = 0
+                # Port-cohort herding: a warp whose checked instruction
+                # waits on a port that frees next cycle would, if tried,
+                # only join `herd` — so the cohort joins it untried.  On
+                # sampling cycles `sdrop` remembers them for the
+                # PIPE_BUSY / NOT_SELECTED split at walk end.
+                pend = mask
+                drop = 0
+                if pf[0] == nxtc:
+                    drop |= cmask[0]
+                if pf[1] == nxtc:
+                    drop |= cmask[1]
+                if pf[2] == nxtc:
+                    drop |= cmask[2]
+                if pf[3] == nxtc:
+                    drop |= cmask[3]
+                drop &= pend
+                if drop:
+                    if sampling:
+                        if cur is not None:
+                            drop &= ~(1 << cur.warp_id)
+                        sdrop = drop
+                    herd |= drop
+                    mask &= ~drop
+                    pend &= ~drop
                 if gto:
-                    it = None
-                    pend = mask
-                    drop = 0
-                    if pf[0] == nxtc:
-                        drop |= cmask[0]
-                    if pf[1] == nxtc:
-                        drop |= cmask[1]
-                    if pf[2] == nxtc:
-                        drop |= cmask[2]
-                    if pf[3] == nxtc:
-                        drop |= cmask[3]
-                    drop &= pend
-                    if drop:
-                        if sampling:
-                            if cur is not None:
-                                drop &= ~(1 << cur.warp_id)
-                            sdrop = drop
-                        herd |= drop
-                        mask &= ~drop
-                        pend &= ~drop
                     first = (
                         cur if cur is not None and pend >> cur.warp_id & 1 else None
                     )
                 else:
-                    it = scheduler.order(cycle)
-                    first = None
-                    pend = 0
-                while True:
-                    if it is not None:
-                        w = next(it, None)
-                        if w is None:
-                            break
-                        bit = 1 << w.warp_id
-                        if not mask & bit:
-                            continue
-                    elif first is not None:
-                        w = first
-                        first = None
-                        bit = 1 << w.warp_id
-                    elif pend:
-                        bit = pend & -pend
-                        pend ^= bit
-                        if not mask & bit:
-                            continue  # `cur`, already tried first
-                        w = warps[bit.bit_length() - 1]
+                    # Warps the walk steps over while `sdrop` is set: a
+                    # dropped warp was unvisited when it was dropped.
+                    vis = 0
+                    if lrr:
+                        lk = 0
+                        lrot = (mask | mask << nw) >> lnext & full
                     else:
-                        break
+                        if tlive != live:
+                            active, na, plen, amask, pmask = _tlv_refill(
+                                active, pending, warps, tgroup
+                            )
+                            tlive = live
+                        tk = 0
+                        tpi = 0
+                while True:
+                    if gto:
+                        if first is not None:
+                            w = first
+                            first = None
+                            bit = 1 << w.warp_id
+                        elif pend:
+                            bit = pend & -pend
+                            pend ^= bit
+                            if not mask & bit:
+                                continue  # `cur`, already tried first
+                            w = warps[bit.bit_length() - 1]
+                        else:
+                            break
+                    elif lrr:
+                        # LrrScheduler.order: position (lnext + k) % nw
+                        # for offsets k = lk..nw-1, `lnext` re-read after
+                        # each issue.  `lrot` is mask rotated to offsets,
+                        # bits below lk cleared: between issues only
+                        # tried warps (offsets < lk) leave mask, so its
+                        # lowest bit is the next warp the walk tries.
+                        if not lrot:
+                            if sdrop:
+                                r = ((1 << (nw - lk)) - 1) << (lnext + lk)
+                                vis |= r | r >> nw
+                            break
+                        low = lrot & -lrot
+                        lrot ^= low
+                        k = low.bit_length()
+                        if sdrop:
+                            r = ((1 << (k - lk)) - 1) << (lnext + lk)
+                            vis |= r | r >> nw
+                        lk = k
+                        wid = lnext + k - 1
+                        if wid >= nw:
+                            wid -= nw
+                        bit = 1 << wid
+                        w = warps[wid]
+                    else:
+                        # TlvScheduler.order.  First level: the active
+                        # group at offsets tk.. from `trr`, read live.
+                        # With one awake member, look it up; with more,
+                        # scan.  k == na: none left at or after tk.
+                        wid = -1
+                        if tk < na:
+                            e = amask & mask
+                            k = na
+                            if e & (e - 1):
+                                k = tk
+                                while k < na and not mask >> active[(trr + k) % na] & 1:
+                                    k += 1
+                            elif e:
+                                k = (active.index(e.bit_length() - 1) - trr) % na
+                                if k < tk:
+                                    k = na
+                            if sdrop:
+                                vis |= _bits(
+                                    active[(trr + j) % na] for j in range(tk, min(k + 1, na))
+                                )
+                            if k < na:
+                                tk = k + 1
+                                tpos = (trr + k) % na
+                                wid = active[tpos]
+                            else:
+                                tk = na
+                        if wid < 0:
+                            # Second level: Python's list iterator over
+                            # the live pending list, cursor tpi (the list
+                            # keeps its length between refills).  An
+                            # awake warp behind the cursor was skipped
+                            # after a promotion.
+                            tpos = -1
+                            e = pmask & mask
+                            i = plen
+                            if e & (e - 1):
+                                i = tpi
+                                while i < plen and not mask >> pending[i] & 1:
+                                    i += 1
+                            elif e:
+                                i = pending.index(e.bit_length() - 1)
+                                if i < tpi:
+                                    i = plen
+                            if sdrop:
+                                vis |= _bits(pending[tpi:i + 1])
+                            if i >= plen:
+                                break
+                            tpi = i + 1
+                            wid = pending[i]
+                        bit = 1 << wid
+                        w = warps[wid]
                     mask ^= bit
                     pc = w.pc
                     if w.chk == pc:
@@ -646,8 +813,15 @@ class SmWave:
                             nscalar += 1
                             if gto:
                                 cur = w
+                            elif lrr:
+                                lnext = w.warp_id + 1 if w.warp_id + 1 < nw else 0
+                                lrot = (mask | mask << nw) >> lnext & (full >> lk << lk)
+                            elif tpos >= 0:
+                                trr = (tpos + 1) % na
                             else:
-                                notify(w)
+                                t = _tlv_promote(active, pending, tpi - 1, w.warp_id)
+                                amask ^= t
+                                pmask ^= t
                             if nissued >= _ISSUE_WIDTH:
                                 break
                             continue
@@ -784,7 +958,7 @@ class SmWave:
                     if iv:
                         pf[pi] = cycle + iv
                         if iv == 1:
-                            d = pend & cmask[pi] & mask
+                            d = cmask[pi] & mask
                             if d:
                                 herd |= d
                                 mask &= ~d
@@ -813,20 +987,33 @@ class SmWave:
                     nscalar += 1
                     if gto:
                         cur = w
+                    elif lrr:
+                        lnext = w.warp_id + 1 if w.warp_id + 1 < nw else 0
+                        lrot = (mask | mask << nw) >> lnext & (full >> lk << lk)
+                    elif tpos >= 0:
+                        trr = (tpos + 1) % na
                     else:
-                        notify(w)
+                        t = _tlv_promote(active, pending, tpi - 1, w.warp_id)
+                        amask ^= t
+                        pmask ^= t
                     if mem and queue_penalty and bubble_until <= cycle:
                         bubble_until = cycle + 1 + queue_penalty
                     if nissued >= _ISSUE_WIDTH:
                         break
                 if sdrop:
+                    # Dropped warps the walk would have tried stalled on
+                    # the port; the rest went unselected.
                     n = sdrop.bit_count()
-                    if nissued >= _ISSUE_WIDTH:
+                    if not gto:
+                        nb = (sdrop & vis).bit_count()
+                    elif nissued >= _ISSUE_WIDTH:
+                        # GTO's walk stopped at `w`: it visited `cur`
+                        # (never dropped) and every older warp.
                         nb = (sdrop & ((1 << w.warp_id) - 1)).bit_count()
-                        sacc[_R_PIPE_BUSY] += nb * sample
-                        sacc[_R_NOT_SELECTED] += (n - nb) * sample
                     else:
-                        sacc[_R_PIPE_BUSY] += n * sample
+                        nb = n
+                    sacc[_R_PIPE_BUSY] += nb * sample
+                    sacc[_R_NOT_SELECTED] += (n - nb) * sample
 
             if sampling:
                 sacc[_R_NOT_SELECTED] += mask.bit_count() * sample

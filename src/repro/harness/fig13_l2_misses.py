@@ -19,9 +19,10 @@ from repro.runs.spec import PlanContext
 
 
 def _options(base: SimOptions) -> SimOptions:
-    # Full (unsampled) per-thread outer loops: cache reuse across a
-    # thread's outputs is part of what this figure measures, so the
-    # outer-loop sampling budget is lifted for these runs.
+    # Cache reuse across a thread's outputs is part of what this figure
+    # measures, so the outer-loop budget is lifted to the inner one
+    # (None falls back to max_trips): outer loops of up to 64 trips run
+    # exactly, longer ones are still sampled.
     return replace(base, max_outer_trips=None)
 
 

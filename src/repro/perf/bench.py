@@ -30,10 +30,10 @@ the number of simulations the engine actually performed per network.
 cold samples to :func:`repro.perf.stats.compare_samples` and flags
 statistically significant slowdowns (one-sided Mann–Whitney, ratio
 threshold); the CLI exits non-zero when any network regresses.
-Baselines and candidates should come from the *same machine* — the
-committed ``BENCH_sim.json`` documents one reference box, and the CI
-gate benches two engines back-to-back on one runner rather than
-comparing against the committed file across hardware.
+Baselines and candidates should come from the *same machine*: the
+committed ``BENCH_sim.json`` documents one reference box, so compare
+against a baseline benched on the host at hand, never against the
+committed file across hardware.  CI runs no bench gate.
 """
 
 from __future__ import annotations

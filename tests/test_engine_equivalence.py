@@ -59,6 +59,17 @@ class TestLightEquivalence:
         _assert_identical(seed, result)
 
     @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
+    @pytest.mark.parametrize("tlv_group", [1, 3])
+    def test_tlv_small_groups_match_seed_engine(self, tlv_group, engine):
+        # Small active groups churn TLV's promote/demote path and the
+        # pending-list entry its list cursor skips after a promotion.
+        options = SimOptions(scheduler="tlv", tlv_group=tlv_group).light()
+        seed = seed_engine.simulate_network("cifarnet", GP102, options)
+        with forced_engine(engine):
+            result = simulate_network("cifarnet", GP102, options)
+        _assert_identical(seed, result)
+
+    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     def test_matches_seed_engine_gk210(self, engine):
         options = SimOptions().light()
         seed = seed_engine.simulate_network("squeezenet", GK210, options)
@@ -134,6 +145,15 @@ class TestFullFidelityEquivalence:
     @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     def test_matches_seed_engine(self, network, engine):
         options = SimOptions()
+        seed = seed_engine.simulate_network(network, GP102, options)
+        with forced_engine(engine):
+            result = simulate_network(network, GP102, options)
+        _assert_identical(seed, result)
+
+    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
+    @pytest.mark.parametrize("scheduler", ["lrr", "tlv"])
+    def test_matches_seed_engine_scheduler(self, network, scheduler, engine):
+        options = SimOptions(scheduler=scheduler)
         seed = seed_engine.simulate_network(network, GP102, options)
         with forced_engine(engine):
             result = simulate_network(network, GP102, options)

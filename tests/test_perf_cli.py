@@ -163,6 +163,26 @@ class TestBenchCli:
         assert "REGRESSION" in captured.out
         assert "significantly slower" in captured.err
 
+    def test_compare_reads_baseline_before_overwriting_it(self, capsys, tmp_path):
+        # --compare and --output naming one file: the verdict must use
+        # the baseline's samples, not the run just written over them.
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({
+            "gru": {
+                "cold_s": 1e-6,
+                "samples": {"cold": [1e-6, 1.1e-6, 0.9e-6, 1.05e-6, 0.95e-6]},
+                "engine_version": "fast-3",
+            }
+        }))
+        exit_code = main([
+            "bench", "gru", "--light", "--runs", "5",
+            "--output", str(path), "--compare", str(path),
+        ])
+        assert exit_code == 1
+        assert "REGRESSION" in capsys.readouterr().out
+        # The fresh run still replaced the baseline on disk.
+        assert json.loads(path.read_text())["gru"]["cold_s"] > 1e-3
+
 
 class TestStats:
     def test_summarize_single_sample(self):

@@ -7,6 +7,8 @@ scalar path it replaces:
 
 * the engine registry (selection precedence, version strings, wave
   classes, seed delegation);
+* the inlined LRR/TLV policies: the seed's scheduler generators are
+  never driven, and the solo-warp batch fires under every policy;
 * the per-warp precomputed transaction tables vs
   :func:`repro.gpu.sm._gmem_txs` on real suite kernels (both the numpy
   broadcast path and the small-wave scalar fallback);
@@ -29,12 +31,14 @@ from repro.gpu import seed_engine
 from repro.gpu.config import SimOptions
 from repro.gpu.decode import K_ALU, K_CTRL, K_GMEM, decode_program
 from repro.gpu.occupancy import compute_occupancy
+from repro.gpu.scheduler import LrrScheduler, TlvScheduler
 from repro.gpu.simulator import _GUARD_DECODED, _make_hierarchy, simulate_network
 from repro.gpu.sm import SmWave, _gmem_txs
 from repro.isa.program import expand_program
 from repro.kernels.addressing import Term
 from repro.kernels.compile import compiled_network
 from repro.memory.cache import Cache
+from repro.obs.tracer import capture_trace
 from repro.platforms import GP102
 
 
@@ -88,6 +92,25 @@ class TestEngineRegistry:
         assert len(oracle.kernels) == len(via_facade.kernels)
         for ka, kb in zip(oracle.kernels, via_facade.kernels):
             assert ka.stats.__dict__ == kb.stats.__dict__
+
+
+class TestInlinedPolicies:
+    @pytest.mark.parametrize("scheduler", ["lrr", "tlv"])
+    def test_policies_inlined_and_batched(self, monkeypatch, scheduler):
+        # The vector engine inlines every policy: the seed's scheduler
+        # generators are the oracle's alone.  The solo-warp batch fires
+        # under LRR and TLV as under GTO.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("vector engine called a scheduler object")
+
+        for cls in (LrrScheduler, TlvScheduler):
+            monkeypatch.setattr(cls, "order", forbidden)
+            monkeypatch.setattr(cls, "notify_issue", forbidden)
+        options = SimOptions(scheduler=scheduler).light()
+        with capture_trace(warps=False) as tracer:
+            result = simulate_network("gru", GP102, options)
+        assert result.kernels
+        assert tracer.metrics.counter("engine.vector.batched_issues").value > 0
 
 
 def _make_wave(kernel, options):
