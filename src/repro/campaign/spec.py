@@ -43,7 +43,6 @@ execute.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +50,7 @@ from repro.campaign.expand import AXIS_ORDER
 from repro.campaign.qor import QOR_METRICS
 from repro.core.suite import EXTENSION_NETWORKS, NETWORK_ORDER
 from repro.platforms import list_platforms
+from repro.specfile import load_spec_file
 
 #: Warp schedulers the simulator implements (Figures 15-16).
 SCHEDULERS = ("gto", "lrr", "tlv")
@@ -301,40 +301,4 @@ def load_campaign(source) -> CampaignSpec:
     """
     if isinstance(source, dict):
         return campaign_from_dict(source)
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        parsers = (_parse_json,)
-    elif suffix == ".toml":
-        parsers = (_parse_toml,)
-    else:
-        parsers = (_parse_toml, _parse_json)
-    errors = []
-    for parse in parsers:
-        try:
-            return campaign_from_dict(parse(text))
-        except CampaignError:
-            raise
-        except ValueError as exc:
-            errors.append(str(exc))
-    raise _fail(f"cannot parse {path}: {'; '.join(errors)}")
-
-
-def _parse_toml(text: str) -> dict:
-    import tomllib
-
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise ValueError(f"TOML: {exc}") from exc
-
-
-def _parse_json(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"JSON: {exc}") from exc
+    return load_spec_file(Path(source), campaign_from_dict, CampaignError, _fail)

@@ -95,8 +95,6 @@ from pathlib import Path
 
 from repro.analysis import Severity, analyze_network
 from repro.core.suite import BENCHMARK_INFO, EXTENSION_NETWORKS, NETWORK_ORDER
-from repro.perf.serve_bench import DEVICES as SERVE_BENCH_DEVICES
-from repro.perf.serve_bench import REQUESTS as SERVE_BENCH_REQUESTS
 
 
 def _check_networks(names: list[str]) -> int | None:
@@ -205,8 +203,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf.bench import run_bench, write_bench
     from repro.platforms import make_config
 
-    if args.serve:
-        return _cmd_bench_serve(args)
     names = args.networks or list(NETWORK_ORDER)
     err = _check_networks(names)
     if err is not None:
@@ -229,7 +225,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"wrote {args.output}")
-    return _compare_to_baseline(args, baseline, payload, "bench")
+    return _compare_to_baseline(args, baseline, payload)
 
 
 def _read_baseline(args: argparse.Namespace) -> dict | None:
@@ -241,7 +237,7 @@ def _read_baseline(args: argparse.Namespace) -> dict | None:
 
 
 def _compare_to_baseline(
-    args: argparse.Namespace, baseline: dict | None, payload: dict, prog: str
+    args: argparse.Namespace, baseline: dict | None, payload: dict
 ) -> int:
     """``--compare PATH``: print a verdict per entry; 1 on a significant
     slowdown (0 when no baseline was given)."""
@@ -267,33 +263,10 @@ def _compare_to_baseline(
         for name in report["skipped"]:
             print(f"{name:12s} skipped (missing from one side)")
     if report["regressions"]:
-        print(f"{prog}: significantly slower than {args.compare}: "
+        print(f"bench: significantly slower than {args.compare}: "
               f"{', '.join(report['regressions'])}", file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """``repro bench --serve``: time the serving event loop."""
-    import json
-
-    from repro.perf.bench import write_bench
-    from repro.perf.serve_bench import run_serve_bench
-
-    output = args.output if args.output != "BENCH_sim.json" else "BENCH_serve.json"
-    baseline = _read_baseline(args)
-    payload = run_serve_bench(
-        requests=args.serve_requests,
-        devices=args.serve_devices,
-        runs=args.runs,
-        verbose=not args.json,
-    )
-    write_bench(payload, output)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"wrote {output}")
-    return _compare_to_baseline(args, baseline, payload, "bench --serve")
 
 
 def _make_workload(args: argparse.Namespace, names: list[str]):
@@ -1098,19 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--alpha", type=float, default=0.05, metavar="P",
                        help="significance level for the Mann-Whitney "
                             "test (default: 0.05)")
-    bench.add_argument("--serve", action="store_true",
-                       help="benchmark the serving event loop on a "
-                            "synthetic fleet instead of the simulator "
-                            "(writes BENCH_serve.json; networks and "
-                            "simulator flags are ignored)")
-    bench.add_argument("--serve-requests", type=int,
-                       default=SERVE_BENCH_REQUESTS, metavar="N",
-                       help="with --serve: offered requests per timed run "
-                            f"(default: {SERVE_BENCH_REQUESTS})")
-    bench.add_argument("--serve-devices", type=int,
-                       default=SERVE_BENCH_DEVICES, metavar="N",
-                       help="with --serve: synthetic fleet size "
-                            f"(default: {SERVE_BENCH_DEVICES})")
     bench.add_argument("--seed", action="store_true",
                        help="also time the frozen reference engine")
     bench.set_defaults(func=_cmd_bench)

@@ -36,14 +36,18 @@ pure-int set arithmetic — provably equal to the numpy
 ``unique(addr // 128) * 128`` path of :mod:`repro.memory.coalescer`,
 including the wide-access straddle rule.
 
+Beside the tuples, a :class:`DecodedProgram` keeps two position
+indexes the engine walks instead of scanning every record:
+``gmem_pcs`` (every global/local access; each wave resolves its warps'
+transactions for these once, before issuing) and ``warm_pcs`` (the
+input-slot loads among them, replayed by shared-input warming).
+
 Decoding is purely a representation change: it happens *after*
 ``compile_network`` (and therefore after the ``verify=True`` analysis
 gate) and never alters program order, weights or operands.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.isa.opcodes import Op, Pipe
 from repro.isa.instruction import MemSpace
@@ -90,62 +94,6 @@ class GMem:
         self.warm = warm        #: load reads the canonical input slot
 
 
-class ProgramSoA:
-    """Structure-of-arrays view of one decoded program.
-
-    Per-pc numpy columns of the flat tuples (opcode class, operand and
-    latency fields) plus two engine-facing digests:
-
-    * ``batch_ok`` — a bytearray flagging positions the vector engine's
-      solo-warp batch loop may issue without consulting the pipe-port
-      gate: ALU/CTRL instructions with issue interval <= 1 that do not
-      sit on an i-buffer refill boundary.  (Single-cycle ports freed by
-      the previous cycle's issue can never block the only awake warp;
-      SFU's 4-cycle interval and fetch bubbles can, so they break runs.)
-    * ``gmem_pcs`` — positions of global/local accesses, the index the
-      vector engine's transaction precompute walks.
-
-    Columns are derived views: building one never alters the tuples the
-    scalar loop consumes, and ``tests/test_vector_engine.py`` pins the
-    two representations equal field by field.
-    """
-
-    __slots__ = (
-        "n",
-        "kind",
-        "dst",
-        "weight",
-        "latency",
-        "pipe",
-        "interval",
-        "rf_reads",
-        "fetch",
-        "batch_ok",
-        "gmem_pcs",
-    )
-
-    def __init__(self, instrs) -> None:
-        n = len(instrs)
-        self.n = n
-        self.kind = np.fromiter((r[0] for r in instrs), dtype=np.int32, count=n)
-        self.dst = np.fromiter((r[2] for r in instrs), dtype=np.int32, count=n)
-        self.weight = np.fromiter((r[3] for r in instrs), dtype=np.float64, count=n)
-        self.latency = np.fromiter(
-            (r[4] if r[0] == K_ALU else 0 for r in instrs), dtype=np.int32, count=n
-        )
-        self.pipe = np.fromiter((r[5] for r in instrs), dtype=np.int32, count=n)
-        self.interval = np.fromiter((r[6] for r in instrs), dtype=np.int32, count=n)
-        self.rf_reads = np.fromiter((r[7] for r in instrs), dtype=np.float64, count=n)
-        self.fetch = np.fromiter((r[8] for r in instrs), dtype=bool, count=n)
-        self.batch_ok = bytearray(
-            1
-            if (r[0] == K_ALU or r[0] == K_CTRL) and r[6] <= 1 and not r[8]
-            else 0
-            for r in instrs
-        )
-        self.gmem_pcs = tuple(pc for pc, r in enumerate(instrs) if r[0] == K_GMEM)
-
-
 class DecodedProgram:
     """One expanded instruction list, decoded for the fast issue loop."""
 
@@ -155,11 +103,11 @@ class DecodedProgram:
         "nregs",
         "has_barrier",
         "warm_pcs",
+        "gmem_pcs",
         "_tparts",
         "_tlines",
         "_cparts",
         "_clines",
-        "_soa",
     )
 
     def __init__(self, instrs, nregs, has_barrier):
@@ -167,11 +115,12 @@ class DecodedProgram:
         self.n = len(instrs)
         self.nregs = nregs
         self.has_barrier = has_barrier
-        #: Program positions of input-slot loads (``GMem.warm``), walked
-        #: by ``SmWave.warm_shared_input`` without scanning every instr.
-        self.warm_pcs = tuple(
-            pc for pc, rec in enumerate(instrs) if rec[0] == K_GMEM and rec[4].warm
-        )
+        #: Program positions of global/local accesses, for which
+        #: ``SmWave`` builds each warp's transaction table.
+        self.gmem_pcs = tuple(pc for pc, rec in enumerate(instrs) if rec[0] == K_GMEM)
+        #: The input-slot loads among them (``GMem.warm``), walked by
+        #: ``SmWave.warm_shared_input`` without scanning every instr.
+        self.warm_pcs = tuple(pc for pc in self.gmem_pcs if instrs[pc][4].warm)
         #: (pc, lane_start) -> tuple of deduplicated active-lane thread
         #: address components (ints); shared by all blocks' warps.
         self._tparts = {}
@@ -191,14 +140,6 @@ class DecodedProgram:
         #: probe in :func:`repro.gpu.sm._gmem_txs` keeps its flat key.
         self._cparts = {}
         self._clines = {}
-        self._soa = None
-
-    def soa(self) -> ProgramSoA:
-        """Structure-of-arrays view, built lazily once per program."""
-        view = self._soa
-        if view is None:
-            view = self._soa = ProgramSoA(self.instrs)
-        return view
 
     def thread_part(self, pc: int, gmem: GMem, warp) -> tuple:
         """Deduplicated thread-term address components for *warp*.

@@ -7,9 +7,9 @@ construction and by test (``tests/test_engine_equivalence.py``):
   :mod:`repro.gpu.seed_engine` (per-cycle ``O(warps)`` scans;
   deliberately slow, the equivalence oracle);
 * ``vector`` — the default: :mod:`repro.gpu.sm`, an event-heap wake
-  loop over pre-decoded instructions plus numpy-precomputed coalesced
-  transactions, a vectorized L2 warm front and a solo-warp batch issue
-  loop (``ENGINE_VERSION = "fast-3"``).
+  loop over pre-decoded instructions with all three warp policies
+  inlined, coalesced transactions resolved once per wave and a
+  vectorized L2 warm front (``ENGINE_VERSION = "fast-3"``).
 
 Selection, in precedence order: :func:`set_engine` (the ``--engine``
 CLI flag), the ``REPRO_ENGINE`` environment variable, then

@@ -41,14 +41,11 @@ This is a performance rewrite of the original loop (kept verbatim in
 * Fetch and scoreboard checks are skipped on replay (``Warp.chk``):
   programs are straight-line and a warp's scoreboard only changes on
   its own issues, so both checks are monotonic while the warp sleeps.
-* **Precomputed coalesced transactions.**  Resolving a global access
-  at issue time (:func:`_gmem_txs`) means, per (warp, pc), evaluating
-  the block terms, probing the translation-invariant line-pattern cache
-  and translating.  The wave instead computes the per-block scalar part
-  of every global-access pc as one numpy expression over block-symbol
-  arrays and materializes all warps' transaction lists for a pc with a
-  single broadcast add (``pattern[None, :] + base[:, None]``) — the
-  issue loop then just reads ``warp.ptx[pc]``.
+* **Transactions resolved once per wave.**  Before the loop runs,
+  every active warp's ``pc -> coalesced transactions`` table is built
+  through :func:`_gmem_txs` for each global-access pc
+  (``DecodedProgram.gmem_pcs``), so an issue just reads
+  ``warp.ptx[pc]`` and shared-input warming reads the same tables.
 * **Vectorized shared-input warming.**  ``warm_shared_input`` replays
   the wave's input-slot loads into L2 with zero statistic weight.
   Zero-weight accesses leave counters untouched, so only the final
@@ -57,27 +54,16 @@ This is a performance rewrite of the original loop (kept verbatim in
   overflows — computed wholesale from tag/set-index arrays by
   :meth:`repro.memory.cache.Cache.bulk_warm`, with a scalar replay
   fallback for the (rare) sets whose evictions depend on access order.
-* **Solo-warp batch issue.**  When exactly one warp is awake — every
-  other warp asleep on a long latency, parked at a barrier, or retired
-  — no policy has a choice to make, and the general candidate walk
-  degenerates to "issue the next instruction if its sources are
-  ready".  The batch loop issues whole
-  ALU/CTRL runs (``ProgramSoA.batch_ok``) in a tight loop: single-cycle
-  ports freed by the previous cycle can never block the only awake
-  warp, the sleeper stall-buckets are constant for the duration, and
-  sampled stall attribution reduces to integer credits on the sample
-  grid — all exact, no float accumulation is reordered.
 
-Fallbacks are counted, not silent: ``engine.vector.*`` counters in
-:mod:`repro.obs` record batched vs general-walk issues and vectorized
-vs scalar-replay warm sets whenever tracing is enabled.
+Warm fallbacks are counted, not silent: the
+``engine.vector.warm_vector_sets`` and ``warm_scalar_sets`` counters in
+:mod:`repro.obs` record vectorized vs scalar-replay warm sets whenever
+tracing is enabled.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-
-import numpy as np
 
 from repro.gpu.config import GpuConfig, SimOptions
 from repro.gpu.decode import (
@@ -114,9 +100,6 @@ _ISSUE_WIDTH = 4
 
 #: Wake value for warps parked at a barrier (released explicitly).
 _FAR_FUTURE = 1 << 40
-
-#: Wake bound when no sleeper is on the heap (beyond any reachable cycle).
-_NEVER = 1 << 60
 
 #: Safety valve: a wave longer than this indicates a simulator bug.
 _MAX_CYCLES = 50_000_000
@@ -290,97 +273,21 @@ class SmWave:
         return ptx
 
     def _precompute_txs(self) -> list:
-        """Materialize every (warp, pc) transaction list with array ops.
+        """Every (warp, pc) transaction list, through :func:`_gmem_txs`.
 
-        Value-identical to calling :func:`_gmem_txs` per (warp, pc): the
-        per-block scalar address part is one numpy expression over
-        block-symbol arrays (warps of a block share it),
-        the lane-varying line pattern comes from the same
-        translation-invariant caches :func:`_gmem_txs` uses, and the
-        absolute lists fall out of one broadcast add per (pc,
-        lane-offset).  Guard warps never touch global memory, so their
-        tables stay empty.
-
-        Small waves skip the array path: numpy's fixed per-op cost
-        outruns the win below a handful of blocks (the RNN point
-        kernels), so those build the same tables through the scalar
-        helper — identical values either way.
+        Guard warps and warps without an active lane never touch global
+        memory, so their tables stay empty.
         """
         dprog = self._dprog
-        warps = self.warps
-        ptx: list = [{} for _ in warps]
-        gpcs = dprog.soa().gmem_pcs
-        if not gpcs:
-            return ptx
-        blocks = self.blocks
-        nblocks = len(blocks)
-        if nblocks < 24:
-            dec = dprog.instrs
-            for w in warps:
-                if w.dprog is not dprog or not w.n_active:
-                    continue
-                table = ptx[w.warp_id]
-                for pc in gpcs:
-                    table[pc] = _gmem_txs(w, pc, dec[pc][4])
-            return ptx
-        gx, gy, _ = self.kernel.grid
-        bi = np.arange(nblocks, dtype=np.int64)
-        bz = bi // (gx * gy)
-        by = (bi // gx) % gy
-        bx = bi % gx
-        bsyms = {
-            "bx": bx,
-            "by": by,
-            "bz": bz,
-            "lin_bid": (bz * gy + by) * gx + bx,
-            "one": np.ones(nblocks, dtype=np.int64),
-        }
-        # One representative warp per lane offset (lane symbols and the
-        # active mask depend only on lane_start and the fixed geometry).
-        reps = [
-            (slot, w)
-            for slot, w in enumerate(blocks[0].warps)
-            if w.dprog is dprog and w.n_active
-        ]
         dec = dprog.instrs
-        for pc in gpcs:
-            gmem = dec[pc][4]
-            scal = np.full(nblocks, gmem.const, dtype=np.int64)
-            for term in gmem.bterms:
-                scal = scal + term.apply(bsyms[term.sym])
-            if gmem.tterms:
-                q = scal >> _TX_SHIFT
-                base = q << _TX_SHIFT
-                rems = (scal - base).tolist()
-                single_rem = len(set(rems)) == 1
-                for slot, rep in reps:
-                    if single_rem:
-                        pat = np.array(
-                            dprog.tx_lines(pc, gmem, rep, rems[0]), dtype=np.int64
-                        )
-                        mat = (pat[None, :] + base[:, None]).tolist()
-                        for b, blk in enumerate(blocks):
-                            ptx[blk.warps[slot].warp_id][pc] = mat[b]
-                    else:
-                        bl = base.tolist()
-                        for b, blk in enumerate(blocks):
-                            lines = dprog.tx_lines(pc, gmem, rep, rems[b])
-                            off = bl[b]
-                            ptx[blk.warps[slot].warp_id][pc] = (
-                                [line + off for line in lines]
-                                if off
-                                else list(lines)
-                            )
-            else:
-                w1 = gmem.w1
-                fl = ((scal >> _TX_SHIFT) << _TX_SHIFT).tolist()
-                ll = (((scal + w1) >> _TX_SHIFT) << _TX_SHIFT).tolist() if w1 else fl
-                for b, blk in enumerate(blocks):
-                    txs = [fl[b], ll[b]] if ll[b] != fl[b] else [fl[b]]
-                    # No lane-varying terms: every warp of the block
-                    # issues the same transactions (read-only, shared).
-                    for slot, rep in reps:
-                        ptx[blk.warps[slot].warp_id][pc] = txs
+        gpcs = dprog.gmem_pcs
+        ptx: list = [{} for _ in self.warps]
+        for w in self.warps:
+            if w.dprog is not dprog or not w.n_active:
+                continue
+            table = ptx[w.warp_id]
+            for pc in gpcs:
+                table[pc] = _gmem_txs(w, pc, dec[pc][4])
         return ptx
 
     # ------------------------------------------------------------------
@@ -414,10 +321,10 @@ class SmWave:
 
         Structurally the seed engine's loop (same events, same
         attribution, same accumulation order — float sums are never
-        reordered) with the deltas the module docstring lists: global
-        accesses read precomputed transaction tables, and a solo-warp
-        batch loop fast-forwards ALU/CTRL runs when only one warp is
-        awake.  See the module docstring for the exactness argument.
+        reordered) with the deltas the module docstring lists, all in
+        one issue loop: global accesses read the wave's precomputed
+        transaction tables, and every policy walks the ready bitmask.
+        See the module docstring for the exactness argument.
         """
         warps = self.warps
         live = sum(1 for w in warps if not w.done)
@@ -429,7 +336,6 @@ class SmWave:
         policy = type(scheduler)
         gto = policy is GtoScheduler
         lrr = policy is LrrScheduler
-        tlv = not (gto or lrr)
         queue_penalty = self.options.queue_penalty if scheduler.manages_queues else 0
         nw = len(warps)
         # Policy state, as the seed's scheduler objects hold it: LRR's
@@ -460,19 +366,12 @@ class SmWave:
         ptx = self._ensure_ptx()
         for w in warps:
             w.ptx = ptx[w.warp_id]
-            w.bok = w.dprog.soa().batch_ok
 
         tracer = get_tracer()
         trace = tracer.enabled and tracer.warps
         tev: list = []
         park_at: dict = {}
         done_at: dict = {}
-
-        # Vectorization observability (folded into engine.vector.*).
-        nbatched = 0   # instructions issued by the batch loop
-        nscalar = 0    # instructions issued by the general walk
-        nwindows = 0   # batch windows entered
-        batch_cycles = 0
 
         pf = [0, 0, 0, 0, 0]
         cmask = [0, 0, 0, 0, 0]
@@ -504,127 +403,6 @@ class SmWave:
                 raise RuntimeError(
                     f"{kernel_name}: wave exceeded {_MAX_CYCLES} cycles"
                 )
-            # ---- solo-warp batch fast path ---------------------------
-            # At the loop top `nxt`/`herd` are always drained, sleepers
-            # due by `cycle` have woken, and every single-cycle port is
-            # free (its last issue was before this cycle).  With exactly
-            # one warp awake the general walk degenerates to "issue the
-            # next instruction when its sources are ready", so ALU/CTRL
-            # runs (ProgramSoA.batch_ok) advance in a tight loop:
-            # sleeper stall-buckets are constant for the window and the
-            # sampled sweep reduces to integer credits on the sample
-            # grid — bit-exact, nothing float is reordered.  With one
-            # warp awake no policy has a choice to make.
-            if mask and cycle >= bubble_until and not (mask & (mask - 1)):
-                wid = mask.bit_length() - 1
-                w = warps[wid]
-                pc = w.pc
-                bok = w.bok
-                if tlv and tlive != live:
-                    active, na, plen, amask, pmask = _tlv_refill(
-                        active, pending, warps, tgroup
-                    )
-                    tlive = live
-                # A solo warp still in TLV's pending list is promoted by
-                # one general walk first; the batch runs from the group.
-                if bok[pc] and (not tlv or amask >> wid & 1):
-                    nwindows += 1
-                    if w.cm >= 0:  # will issue now: drop the port cohort bit
-                        cmask[w.cm] &= ~mask
-                        w.cm = -1
-                    dec = w.dec
-                    ready = w.reg_ready
-                    kinds = w.reg_kind
-                    wn = w.n
-                    c = cycle
-                    wake_bound = heap[0][0] if heap else _NEVER
-                    nz = [(i, bcnt[i] * sample) for i in range(nreasons) if bcnt[i]]
-                    issued_any = False
-                    asleep = False
-                    while True:
-                        rec = dec[pc]
-                        srcs = rec[1]
-                        if srcs:
-                            worst = c
-                            kidx = 0
-                            for r in srcs:
-                                rc = ready[r]
-                                if rc > worst:
-                                    worst = rc
-                                    kidx = kinds[r]
-                            if worst > c:
-                                ri = _KIND_REASON_I[kidx]
-                                if c >= next_sample:
-                                    sacc[ri] += sample
-                                    for i2, cr in nz:
-                                        sacc[i2] += cr
-                                    next_sample = c + sample
-                                if worst == c + 1:
-                                    # 1-cycle stall: retry next cycle
-                                    # (the general loop's herd path).
-                                    c += 1
-                                    if c >= wake_bound:
-                                        break
-                                    continue
-                                # Longer dependency: sleep on the heap.
-                                w.bucket = ri
-                                bcnt[ri] += 1
-                                heappush(heap, (worst, wid))
-                                if trace:
-                                    tev.append((c, worst, ri, wid))
-                                wk = heap[0][0]
-                                c = wk if wk > c + 1 else c + 1
-                                asleep = True
-                                break
-                        # ---- issue (ALU/CTRL; ports cannot block) ----
-                        weight = rec[3]
-                        if rec[0] == K_ALU:
-                            dst = rec[2]
-                            ready[dst] = c + rec[4]
-                            kinds[dst] = 0  # KIND_ALU
-                            rf_writes += weight
-                        issued_acc += weight
-                        pacc[rec[5]] += weight
-                        rf_reads += rec[7]
-                        issued_any = True
-                        nbatched += 1
-                        pc += 1
-                        if c >= next_sample:
-                            for i2, cr in nz:
-                                sacc[i2] += cr
-                            next_sample = c + sample
-                        if pc >= wn:
-                            w.done = True
-                            live -= 1
-                            if trace:
-                                done_at[wid] = c
-                            asleep = True  # leaves the ready set
-                            c += 1
-                            break
-                        c += 1
-                        if c >= wake_bound or not bok[pc]:
-                            break
-                    w.pc = pc
-                    if issued_any:
-                        # Every issue of the window notified the policy
-                        # with the same warp; the last notify is the
-                        # first one's repeat.
-                        if gto:
-                            cur = w
-                        elif lrr:
-                            lnext = wid + 1 if wid + 1 < nw else 0
-                        else:
-                            trr = (active.index(wid) + 1) % na
-                    if asleep:
-                        mask = 0
-                    batch_cycles += c - cycle
-                    cycle = c
-                    while heap and heap[0][0] <= cycle:
-                        o = warps[heappop(heap)[1]]
-                        bcnt[o.bucket] -= 1
-                        o.bucket = -1
-                        mask |= 1 << o.warp_id
-                    continue
             sampling = cycle >= next_sample
             nissued = 0
             if cycle >= bubble_until:
@@ -810,7 +588,6 @@ class SmWave:
                                     if trace:
                                         park_at[w.warp_id] = cycle
                             nissued += 1
-                            nscalar += 1
                             if gto:
                                 cur = w
                             elif lrr:
@@ -984,7 +761,6 @@ class SmWave:
                     else:
                         imask |= bit
                     nissued += 1
-                    nscalar += 1
                     if gto:
                         cur = w
                     elif lrr:
@@ -1080,13 +856,9 @@ class SmWave:
         if trace:
             self._emit_trace(tracer, tev, park_at, done_at, cycle)
         if tracer.enabled:
-            metrics = tracer.metrics
-            metrics.counter("engine.vector.batched_issues").inc(nbatched)
-            metrics.counter("engine.vector.scalar_issues").inc(nscalar)
-            metrics.counter("engine.vector.batch_windows").inc(nwindows)
-            metrics.counter("engine.vector.batch_cycles").inc(batch_cycles)
             wf, ws = self._warm_obs
             if wf or ws:
+                metrics = tracer.metrics
                 metrics.counter("engine.vector.warm_vector_sets").inc(wf)
                 metrics.counter("engine.vector.warm_scalar_sets").inc(ws)
         return st

@@ -54,7 +54,6 @@ class Warp:
         "cm",
         "ctxs",
         "ptx",
-        "bok",
     )
 
     def __init__(
@@ -105,11 +104,9 @@ class Warp:
         #: (warp, pc), so reuse is exact; cleared when the access
         #: completes.
         self.ctxs = False
-        #: Attachments set by ``SmWave.run`` (:mod:`repro.gpu.sm`): the
-        #: warp's precomputed pc -> coalesced-transaction table and its
-        #: program's ``batch_ok`` byte array.
+        #: The warp's pc -> coalesced-transaction table, built once per
+        #: wave and attached by ``SmWave.run`` (:mod:`repro.gpu.sm`).
         self.ptx = None
-        self.bok = None
 
         bx_dim, by_dim, _ = block_dims
         lanes = np.arange(lane_start, lane_start + WARP_SIZE, dtype=np.int64)
@@ -133,11 +130,6 @@ class Warp:
             "lin_bid": (cz * gy + cy) * gx + cx,
             "one": 1,
         }
-
-    @property
-    def active_count(self) -> int:
-        """Number of lanes doing real work."""
-        return self.n_active
 
     def current(self):
         """The decoded tuple at the program counter (None when done)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.suite import BENCHMARK_INFO, CNN_BREAKDOWN_ORDER, NETWORK_ORDER
-from repro.gpu.config import GpuConfig, SimOptions
+from repro.gpu.config import GpuConfig
 from repro.platforms import GP102
 
 #: Display labels in figure order.
@@ -17,22 +17,6 @@ CNNS = CNN_BREAKDOWN_ORDER
 #: All seven networks in figure order.
 ALL_NETWORKS = NETWORK_ORDER
 
-#: Layer-type ordering used across the stacked figures.
-CATEGORY_ORDER = (
-    "Conv",
-    "Pooling",
-    "FC",
-    "Norm",
-    "Fire_Squeeze",
-    "Fire_Expand",
-    "Eltwise",
-    "Scale",
-    "Relu",
-    "Others",
-    "GRU",
-    "LSTM",
-)
-
 KB = 1024
 
 #: The Figure 2 sweep: Pascal's default L1D is 64 KB.
@@ -45,27 +29,3 @@ SCHEDULERS = ("gto", "lrr", "tlv")
 def sim_platform() -> GpuConfig:
     """The architecture-simulator platform (GPGPU-Sim Pascal GP102)."""
     return GP102
-
-
-def default_options() -> SimOptions:
-    """Default simulation options shared by the harness."""
-    return SimOptions()
-
-
-def harness_combos() -> list[tuple[str, GpuConfig, SimOptions]]:
-    """Every unique (network, config, options) the full suite simulates.
-
-    A thin wrapper over the planner: the registered experiments declare
-    their required runs, :func:`repro.runs.planner.build_plan` dedupes
-    them, and this returns the unique matrix in canonical plan order.
-    Covers Figures 1-5 and 8-12 (GP102 defaults, inside the L1 sweep),
-    Figure 2 (L1 sweep), Figure 7 (GK210), Figures 15-16 (schedulers),
-    Figures 13-14 (No-L1, unsampled outer loops) and Figure 6 (TX1).
-    """
-    # Imported here: the registry imports the experiment modules, which
-    # import this module for the shared sweep constants.
-    from repro.runs.planner import build_plan
-    from repro.runs.registry import all_experiments
-
-    plan = build_plan(all_experiments().values())
-    return [(spec.network, spec.config, spec.options) for spec in plan.specs]

@@ -124,8 +124,3 @@ def op_latency(op: Op) -> int:
     memory hierarchy at simulation time.
     """
     return _LATENCY_OF[_PIPE_OF[op]]
-
-
-#: Opcodes whose result a dependent instruction waits on via the
-#: scoreboard.  Control-flow opcodes produce no register result.
-RESULT_PRODUCING_PIPES = (Pipe.SP, Pipe.FPU, Pipe.SFU, Pipe.LDST)

@@ -94,11 +94,6 @@ class KernelLaunch:
         """Total threads launched."""
         return self.total_blocks * self.threads_per_block
 
-    @property
-    def total_warps(self) -> int:
-        """Total warps launched."""
-        return self.total_blocks * self.warps_per_block
-
     def dynamic_instructions(self) -> int:
         """Exact unsampled dynamic instruction count across all threads."""
         return self.program.dynamic_count() * self.total_threads

@@ -20,11 +20,6 @@ class CacheStats:
     hits: float = 0.0
     misses: float = 0.0
 
-    @property
-    def miss_ratio(self) -> float:
-        """Miss ratio over all accesses (0 when idle)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def merge(self, other: "CacheStats") -> None:
         """Accumulate *other* into this instance."""
         self.accesses += other.accesses

@@ -34,8 +34,3 @@ class Dram:
         self.bytes_served += size_bytes * weight
         self.requests += weight
         return int(start + occupancy + self.latency)
-
-    @property
-    def queue_delay(self) -> float:
-        """Current backlog relative to cycle 0 (diagnostics)."""
-        return self._next_free

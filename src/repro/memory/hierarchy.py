@@ -159,7 +159,3 @@ class MemoryHierarchy:
         Returns ``(vectorized_sets, scalar_sets)``.
         """
         return self.l2.bulk_warm(tx_addrs)
-
-    def mshr_pressure(self) -> float:
-        """Fraction of MSHR entries in use (diagnostics/ablation)."""
-        return self.mshr.in_use / self.mshr.capacity

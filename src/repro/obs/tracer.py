@@ -39,9 +39,6 @@ SIM_MS = "sim_ms"
 #: Clock domain: host wall-clock seconds since tracer creation.
 WALL_S = "wall_s"
 
-#: All known domains, for validation.
-DOMAINS = (CYCLES, SIM_MS, WALL_S)
-
 
 class Span(NamedTuple):
     """One complete interval on one track."""

@@ -3,9 +3,8 @@
 * :mod:`repro.perf.bench` — the ``repro bench`` harness timing cold,
   warm-kernel-cache and warm-run-store whole-network simulations
   (emits ``BENCH_sim.json``).
-* :mod:`repro.perf.serve_bench` — the ``repro bench --serve`` harness
-  timing the serving event loop on a synthetic fleet (emits
-  ``BENCH_serve.json``).
+* :mod:`repro.perf.stats` — sample summaries and the one-sided
+  Mann-Whitney test behind ``repro bench --compare``.
 
 The kernel-cache layer lives in :mod:`repro.runs.store`; the package
 re-exports its public names for convenience.  (The old

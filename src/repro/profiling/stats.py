@@ -50,10 +50,6 @@ class KernelStats:
         self.issued += weight
         self.issued_by_pipe[pipe] += weight
 
-    def count_stall(self, reason: StallReason, weight: float) -> None:
-        """Record stall cycles attributed to *reason*."""
-        self.stalls[reason] += weight
-
     def scale_events(self, factor: float) -> None:
         """Scale every event counter (not cycles) by the sampling factor."""
         self.issued *= factor

@@ -144,11 +144,6 @@ class DeviceState:
     def full(self) -> bool:
         return self.pending >= self.max_queue
 
-    @property
-    def depth_timeline(self) -> list[tuple[float, int]]:
-        """Downsampled (time_ms, depth) points recorded so far."""
-        return self.timeline.points
-
     def profile(self, network: str) -> LatencyProfile:
         return self.profiles[network]
 

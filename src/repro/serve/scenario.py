@@ -53,7 +53,6 @@ the scenario file's directory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,6 +72,7 @@ from repro.serve.workload import (
     TraceWorkload,
     Workload,
 )
+from repro.specfile import load_spec_file
 
 
 class ScenarioError(ValueError):
@@ -428,39 +428,6 @@ def load_scenario(source) -> ServeScenario:
     if isinstance(source, dict):
         return scenario_from_dict(source)
     path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        parsers = (_parse_json,)
-    elif suffix == ".toml":
-        parsers = (_parse_toml,)
-    else:
-        parsers = (_parse_toml, _parse_json)
-    errors = []
-    for parse in parsers:
-        try:
-            return scenario_from_dict(parse(text), path.parent)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            errors.append(str(exc))
-    raise _fail(f"cannot parse {path}: {'; '.join(errors)}")
-
-
-def _parse_toml(text: str) -> dict:
-    import tomllib
-
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise ValueError(f"TOML: {exc}") from exc
-
-
-def _parse_json(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"JSON: {exc}") from exc
+    return load_spec_file(
+        path, lambda data: scenario_from_dict(data, path.parent), ScenarioError, _fail
+    )

@@ -223,11 +223,6 @@ class DiurnalWorkload(Workload):
             for i in range(segments)
         )
 
-    def rate_rps(self, t_ms: float) -> float:
-        """The piecewise-constant offered rate at simulated time *t_ms*."""
-        index = int(((t_ms - self.phase_ms) % self.period_ms) // self._segment_ms)
-        return self._rates[min(index, self.segments - 1)] * 1e3
-
     def _next_time(self, start_ms: float, rng: Random) -> float:
         segment_ms = self._segment_ms
         t = start_ms

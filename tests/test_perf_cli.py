@@ -261,62 +261,15 @@ class TestStats:
         assert sorted(report["skipped"]) == ["only_base", "only_cand"]
 
 
-class TestServeBench:
-    def test_run_serve_bench_payload(self):
-        from repro.perf.serve_bench import run_serve_bench
-
-        # Tiny synthetic scenario: fast enough for tier-1, but it still
-        # exercises the warmup, the sampling and the payload shape.
-        payload = run_serve_bench(requests=1500, devices=3, runs=2, seed=1)
-        assert set(payload) == {"serve"}
-        entry = payload["serve"]
-        assert entry["requests"] == 1500
-        assert entry["devices"] == 3
-        assert len(entry["samples"]["cold"]) == 2
-        assert entry["cold_s"] == min(entry["samples"]["cold"])
-        assert entry["digest"]
-
-    def test_bench_serve_cli_writes_payload(self, capsys, tmp_path):
-        out_path = tmp_path / "bench-serve.json"
-        exit_code = main([
-            "bench", "--serve", "--serve-requests", "1000",
-            "--serve-devices", "2", "--runs", "1",
-            "--output", str(out_path),
-        ])
-        assert exit_code == 0
-        payload = json.loads(out_path.read_text())
-        assert set(payload) == {"serve"}
-
-    def test_bench_serve_compare_flags_regression(self, capsys, tmp_path):
-        # A baseline of the same shape, fabricated 1000x faster than
-        # reality, forces a significant slowdown -> exit 1.
-        base_path = tmp_path / "baseline.json"
-        base_path.write_text(json.dumps({
-            "serve": {
-                "cold_s": 1e-6,
-                "samples": {"cold": [1e-6, 1.1e-6, 0.9e-6, 1.05e-6, 0.95e-6]},
-            }
-        }))
-        exit_code = main([
-            "bench", "--serve", "--serve-requests", "1000",
-            "--serve-devices", "2", "--runs", "5",
-            "--output", str(tmp_path / "bench-serve.json"),
-            "--compare", str(base_path),
-        ])
-        assert exit_code == 1
-        captured = capsys.readouterr()
-        assert "serve" in captured.out and "REGRESSION" in captured.out
-        assert "significantly slower" in captured.err
-
-
 @pytest.mark.parametrize("argv", [
     ["simulate", "gru", "--engine", "fast"],
     ["serve", "--loop", "heap"],
     ["bench", "--serve", "--gate"],
     ["bench", "gru", "--repeats", "3"],
+    ["bench", "--serve"],
 ])
 def test_removed_options_are_rejected(capsys, argv):
-    # Selectors of deleted engines, loops and gates must be refused,
+    # Selectors of deleted engines, loops, gates and benches must be refused,
     # never silently ignored.
     with pytest.raises(SystemExit) as exc:
         main(argv)

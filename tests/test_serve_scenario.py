@@ -193,6 +193,11 @@ class TestFileLoading:
         scenario = load_scenario(path)
         assert scenario.name == "t"
 
+    def test_suffixless_file_tries_both_formats(self, tmp_path):
+        path = tmp_path / "scenario"
+        path.write_text(json.dumps(minimal()))
+        assert load_scenario(path).name == "t"
+
     def test_dict_passthrough(self):
         assert load_scenario(minimal()).name == "t"
 

@@ -8,15 +8,13 @@ scalar path it replaces:
 * the engine registry (selection precedence, version strings, wave
   classes, seed delegation);
 * the inlined LRR/TLV policies: the seed's scheduler generators are
-  never driven, and the solo-warp batch fires under every policy;
-* the per-warp precomputed transaction tables vs
-  :func:`repro.gpu.sm._gmem_txs` on real suite kernels (both the numpy
-  broadcast path and the small-wave scalar fallback);
+  never driven;
 * :meth:`repro.memory.cache.Cache.bulk_warm` vs a zero-weight scalar
   replay on randomized (hypothesis) address sequences — small and
   large, empty and pre-populated sets, with and without overflow;
-* the structure-of-arrays decode view vs the flat decoded tuples, and
-  the numpy-safety of address-term evaluation on randomized values.
+* the decoded program's global-access index vs the flat decoded
+  tuples, and the numpy-safety of address-term evaluation on
+  randomized values.
 """
 
 from __future__ import annotations
@@ -29,16 +27,14 @@ from hypothesis import strategies as st
 from repro.gpu import engine as engine_registry
 from repro.gpu import seed_engine
 from repro.gpu.config import SimOptions
-from repro.gpu.decode import K_ALU, K_CTRL, K_GMEM, decode_program
-from repro.gpu.occupancy import compute_occupancy
+from repro.gpu.decode import K_GMEM, decode_program
 from repro.gpu.scheduler import LrrScheduler, TlvScheduler
-from repro.gpu.simulator import _GUARD_DECODED, _make_hierarchy, simulate_network
-from repro.gpu.sm import SmWave, _gmem_txs
+from repro.gpu.simulator import simulate_network
+from repro.gpu.sm import SmWave
 from repro.isa.program import expand_program
 from repro.kernels.addressing import Term
 from repro.kernels.compile import compiled_network
 from repro.memory.cache import Cache
-from repro.obs.tracer import capture_trace
 from repro.platforms import GP102
 
 
@@ -96,10 +92,9 @@ class TestEngineRegistry:
 
 class TestInlinedPolicies:
     @pytest.mark.parametrize("scheduler", ["lrr", "tlv"])
-    def test_policies_inlined_and_batched(self, monkeypatch, scheduler):
+    def test_policies_inlined(self, monkeypatch, scheduler):
         # The vector engine inlines every policy: the seed's scheduler
-        # generators are the oracle's alone.  The solo-warp batch fires
-        # under LRR and TLV as under GTO.
+        # generators are the oracle's alone.
         def forbidden(*args, **kwargs):
             raise AssertionError("vector engine called a scheduler object")
 
@@ -107,69 +102,8 @@ class TestInlinedPolicies:
             monkeypatch.setattr(cls, "order", forbidden)
             monkeypatch.setattr(cls, "notify_issue", forbidden)
         options = SimOptions(scheduler=scheduler).light()
-        with capture_trace(warps=False) as tracer:
-            result = simulate_network("gru", GP102, options)
+        result = simulate_network("gru", GP102, options)
         assert result.kernels
-        assert tracer.metrics.counter("engine.vector.batched_issues").value > 0
-
-
-def _make_wave(kernel, options):
-    """Mirror ``simulate_kernel``'s wave setup for one kernel."""
-    expanded = expand_program(
-        kernel.program, options.max_trips, options.max_outer_trips
-    )
-    decoded = decode_program(expanded)
-    occupancy = compute_occupancy(kernel, GP102)
-    sim_blocks = occupancy.blocks
-    if options.max_sim_blocks is not None:
-        sim_blocks = max(1, min(sim_blocks, options.max_sim_blocks))
-    wave = SmWave(
-        kernel, decoded, _GUARD_DECODED, sim_blocks,
-        GP102, options, _make_hierarchy(GP102),
-    )
-    return wave, decoded
-
-
-class TestPtxPrecompute:
-    @pytest.mark.parametrize("network", ["alexnet", "gru"])
-    def test_tables_match_scalar_helper(self, network):
-        # Every (warp, pc) entry must equal what the scalar engine
-        # would compute lazily at issue time.  alexnet's large grids
-        # exercise the numpy broadcast path; gru's point kernels (and
-        # any wave under 24 blocks) exercise the scalar fallback.
-        options = SimOptions()
-        saw_vector_path = False
-        for kernel in compiled_network(network):
-            wave, decoded = _make_wave(kernel, options)
-            ptx = wave._ensure_ptx()
-            if len(wave.blocks) >= 24:
-                saw_vector_path = True
-            gpcs = decoded.soa().gmem_pcs
-            dec = decoded.instrs
-            for w in wave.warps:
-                if w.dprog is not decoded or not w.n_active:
-                    assert ptx[w.warp_id] == {}
-                    continue
-                for pc in gpcs:
-                    assert ptx[w.warp_id][pc] == _gmem_txs(w, pc, dec[pc][4]), (
-                        f"{kernel.name} warp {w.warp_id} pc {pc}"
-                    )
-        assert saw_vector_path == (network == "alexnet")
-
-    def test_light_options_use_scalar_fallback(self):
-        # Light fidelity caps waves at 2 blocks — always under the
-        # vectorization threshold, still value-identical.
-        options = SimOptions().light()
-        kernel = compiled_network("cifarnet")[0]
-        wave, decoded = _make_wave(kernel, options)
-        assert len(wave.blocks) < 24
-        ptx = wave._ensure_ptx()
-        dec = decoded.instrs
-        for w in wave.warps:
-            if w.dprog is not decoded or not w.n_active:
-                continue
-            for pc in decoded.soa().gmem_pcs:
-                assert ptx[w.warp_id][pc] == _gmem_txs(w, pc, dec[pc][4])
 
 
 def _replay_scalar(cache: Cache, addrs) -> None:
@@ -236,6 +170,8 @@ class TestBulkWarm:
 class TestSoA:
     @pytest.mark.parametrize("network", ["cifarnet", "lstm"])
     def test_matches_flat_tuples(self, network):
+        # gmem_pcs is the index the wave walks to build its transaction
+        # tables: exactly the positions of global/local access records.
         options = SimOptions().light()
         for kernel in compiled_network(network):
             decoded = decode_program(
@@ -243,26 +179,8 @@ class TestSoA:
                     kernel.program, options.max_trips, options.max_outer_trips
                 )
             )
-            soa = decoded.soa()
-            assert soa is decoded.soa()  # cached
-            assert soa.n == decoded.n == len(decoded.instrs)
-            gmem = []
-            for i, row in enumerate(decoded.instrs):
-                kind, _, dst, weight, _, pipe, interval, rf_reads, fetch = row
-                assert soa.kind[i] == kind
-                assert soa.dst[i] == dst
-                assert soa.weight[i] == weight
-                assert soa.pipe[i] == pipe
-                assert soa.interval[i] == interval
-                assert soa.rf_reads[i] == rf_reads
-                assert bool(soa.fetch[i]) == bool(fetch)
-                expect_ok = (
-                    kind in (K_ALU, K_CTRL) and interval <= 1 and not fetch
-                )
-                assert bool(soa.batch_ok[i]) == expect_ok
-                if kind == K_GMEM:
-                    gmem.append(i)
-            assert list(soa.gmem_pcs) == gmem
+            gmem = [i for i, row in enumerate(decoded.instrs) if row[0] == K_GMEM]
+            assert decoded.gmem_pcs == tuple(gmem)
 
     @given(
         value=st.integers(min_value=0, max_value=1 << 30),
@@ -273,9 +191,9 @@ class TestSoA:
     )
     @settings(max_examples=200, deadline=None)
     def test_term_apply_numpy_matches_scalar(self, value, pre, div, mod, coef):
-        # The ptx precompute evaluates address terms on int64 arrays;
-        # numpy floor semantics must equal Python's on the nonnegative
-        # symbol values the simulator feeds in.
+        # Thread terms are evaluated on int64 lane arrays
+        # (DecodedProgram.thread_part); numpy floor semantics must equal
+        # Python's on the nonnegative symbol values the simulator feeds in.
         term = Term("bx", coef, pre=pre, div=div, mod=mod)
         scalar = term.apply(value)
         vec = term.apply(np.array([value, value], dtype=np.int64))
