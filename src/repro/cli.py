@@ -345,17 +345,21 @@ def _serve_prepare(
         except (KeyError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        workload = _make_workload(args, names)
+        try:
+            workload = _make_workload(args, names)
+            base = ServeConfig(
+                slo_ms=args.slo_ms,
+                max_batch=args.batch,
+                batch_timeout_ms=args.batch_timeout_ms,
+                max_queue=args.queue,
+                seed=args.seed,
+                admission=args.admission,
+            )
+        except ValueError as exc:
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
         if workload is None:
             return 2
-        base = ServeConfig(
-            slo_ms=args.slo_ms,
-            max_batch=args.batch,
-            batch_timeout_ms=args.batch_timeout_ms,
-            max_queue=args.queue,
-            seed=args.seed,
-            admission=args.admission,
-        )
 
     # Profiles use the simulator's default warp scheduler; ``--scheduler``
     # here names the *serving* policy, not the warp scheduler.  The

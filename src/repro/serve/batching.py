@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Mapping
 
 
 @dataclass(slots=True)
@@ -36,11 +37,6 @@ class Request:
     #: Filled in by the engine when the request's batch launches/retires.
     start_ms: float = field(default=-1.0, compare=False)
     finish_ms: float = field(default=-1.0, compare=False)
-
-    @property
-    def latency_ms(self) -> float:
-        """Arrival-to-completion latency (valid once retired)."""
-        return self.finish_ms - self.arrival_ms
 
 
 class DynamicBatcher:
@@ -86,7 +82,42 @@ class DynamicBatcher:
         is false (the engine forces when a device frees up and work is
         pending regardless of deadlines).
         """
-        if not self._pending or not (force or self.ready(now_ms)):
+        pending = self._pending
+        if not pending or not (force or self.ready(now_ms)):
             return []
-        size = min(self.max_batch, len(self._pending))
-        return [self._pending.popleft() for _ in range(size)]
+        if len(pending) <= self.max_batch:
+            batch = list(pending)
+            pending.clear()
+            return batch
+        return [pending.popleft() for _ in range(self.max_batch)]
+
+    @staticmethod
+    def next_launch(
+        batchers: Mapping[str, DynamicBatcher], now_ms: float
+    ) -> tuple[str | None, float | None]:
+        """Which of a device's *batchers* to launch at *now_ms*, or the
+        deadline to wait for.
+
+        Returns ``(network, None)`` for the :meth:`ready` batch whose
+        head arrived first (ties to the first network).  Otherwise
+        returns ``(None, deadline)`` with the earliest
+        :meth:`deadline_ms`, or ``(None, None)`` when nothing is queued.
+        One pass reads each batcher's head and length once.
+        """
+        ready: str | None = None
+        ready_oldest = 0.0
+        deadline: float | None = None
+        for network, batcher in batchers.items():
+            pending = batcher._pending
+            if not pending:
+                continue
+            oldest = pending[0].arrival_ms
+            expires = oldest + batcher.timeout_ms
+            if len(pending) >= batcher.max_batch or now_ms >= expires:
+                if ready is None or oldest < ready_oldest:
+                    ready, ready_oldest = network, oldest
+            elif deadline is None or expires < deadline:
+                deadline = expires
+        if ready is not None:
+            return ready, None
+        return None, deadline

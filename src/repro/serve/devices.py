@@ -136,16 +136,8 @@ class DeviceState:
 
     # ------------------------------------------------------------------
     @property
-    def queue_len(self) -> int:
-        """Total requests pending across all networks."""
-        return self.pending
-
-    @property
     def full(self) -> bool:
         return self.pending >= self.max_queue
-
-    def profile(self, network: str) -> LatencyProfile:
-        return self.profiles[network]
 
     def enqueue(self, request: Request, now_ms: float) -> None:
         self.batchers[request.network].add(request)

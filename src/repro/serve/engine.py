@@ -50,7 +50,7 @@ from repro.obs.tracer import SIM_MS, get_tracer
 from repro.platforms import make_config
 from repro.serve.admission import SHED_OVERFLOW
 from repro.serve.autoscale import AutoscaleSignals
-from repro.serve.batching import Request
+from repro.serve.batching import DynamicBatcher, Request
 from repro.serve.devices import DeviceState, ServeDevice
 from repro.serve.events import ARRIVAL, COMPLETE, FLUSH, TICK, EventQueue
 from repro.serve.pipeline import ServePipeline, make_pipeline
@@ -64,7 +64,12 @@ from repro.serve.stats import (
     latency_summary,
     percentile,
 )
-from repro.serve.tenants import DEFAULT_TENANT_NAME, Tenant, default_tenant
+from repro.serve.tenants import (
+    DEFAULT_TENANT_NAME,
+    MultiTenantWorkload,
+    Tenant,
+    default_tenant,
+)
 from repro.serve.workload import Arrival, Workload
 
 @dataclass(frozen=True)
@@ -80,14 +85,32 @@ class ServeConfig:
     #: Admission policy name (used when no explicit pipeline is given).
     admission: str = "none"
 
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if not self.batch_timeout_ms >= 0:
+            raise ValueError(
+                f"batch_timeout_ms must be >= 0, got {self.batch_timeout_ms}"
+            )
+        if self.max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
+        if not self.slo_ms > 0:
+            raise ValueError(f"slo_ms must be > 0, got {self.slo_ms}")
+
 
 class _TenantAcc:
     """Per-tenant accumulators of one run (hot-path mutable state)."""
 
-    __slots__ = ("tenant", "offered", "shed", "violations", "energy_j", "latencies")
+    __slots__ = (
+        "tenant", "reissue", "offered", "shed", "violations", "energy_j",
+        "latencies",
+    )
 
-    def __init__(self, tenant: Tenant) -> None:
+    def __init__(self, tenant: Tenant, reissue: bool) -> None:
         self.tenant = tenant
+        #: The tenant's stream is closed-loop: its completions and sheds
+        #: go to ``Workload.on_completion`` for a reissue.
+        self.reissue = reissue
         self.offered = 0
         self.shed = 0
         self.violations = 0
@@ -182,13 +205,15 @@ class ServeSim:
         self._autoscaler = self.pipeline.autoscaler
         if self._autoscaler is not None:
             self._autoscaler.reset()
-        tenants = getattr(self.workload, "tenants", None)
-        if tenants:
-            self._tacc = {t.name: _TenantAcc(t) for t in tenants}
+        workload = self.workload
+        if isinstance(workload, MultiTenantWorkload):
+            streams = workload.parts
         else:
-            self._tacc = {
-                DEFAULT_TENANT_NAME: _TenantAcc(default_tenant(config.slo_ms))
-            }
+            streams = ((default_tenant(config.slo_ms), workload),)
+        self._tacc = {
+            tenant.name: _TenantAcc(tenant, stream.closed_loop)
+            for tenant, stream in streams
+        }
         self._issued = 0
         self._offered = 0
         self._shed = 0
@@ -226,30 +251,36 @@ class ServeSim:
 
     def _drain_heap(self, queue: EventQueue, rng: Random) -> None:
         """The event loop: one heap pop per event."""
-        while queue:
-            event = queue.pop()
-            kind = event.kind
-            now = event.time_ms
+        clock = self._clock
+        for now, _, kind, payload in queue.drain():
             if kind == ARRIVAL:
-                self._clock = now
-                self._on_arrival(event.payload, now, queue, rng)
+                clock = now
+                self._on_arrival(payload, now, queue, rng)
             elif kind == COMPLETE:
-                self._clock = now
-                self._on_complete(event.payload, now, queue, rng)
+                clock = now
+                self._on_complete(payload, now, queue, rng)
             elif kind == FLUSH:
-                self._clock = now
-                self._on_flush(event.payload, now, queue)
+                clock = now
+                self._on_flush(payload, now, queue)
             else:
+                # Ticks never advance the result clock.
                 self._on_tick(now, queue)
+        self._clock = clock
 
     # ------------------------------------------------------------------
-    def _push_arrival(self, arrival: Arrival | None, queue) -> None:
+    def _reissue(self, request: Request, now: float, queue, rng: Random) -> None:
+        """Hand a closed-loop tenant's completed or shed *request* to the
+        workload, which may issue the client's next arrival."""
+        arrival = self.workload.on_completion(request, now, self._issued, rng)
         if arrival is not None:
             queue.push(arrival.time_ms, ARRIVAL, arrival)
             self._issued += 1
 
     def _on_arrival(self, arrival: Arrival, now: float, queue, rng: Random) -> None:
-        self._push_arrival(self.workload.next_arrival(arrival, rng), queue)
+        nxt = self.workload.next_arrival(arrival, rng)
+        if nxt is not None:
+            queue.push(nxt.time_ms, ARRIVAL, nxt)
+            self._issued += 1
         tenant_name = arrival.tenant or DEFAULT_TENANT_NAME
         request = Request(self._offered, arrival.network, now, tenant_name)
         self._offered += 1
@@ -291,9 +322,8 @@ class ServeSim:
                 tracer.metrics.counter("serve.shed").inc()
                 tracer.metrics.counter(f"serve.shed.{reason}").inc()
             # Closed-loop clients observe the rejection and issue again.
-            self._push_arrival(
-                self.workload.on_completion(request, now, self._issued, rng), queue
-            )
+            if acc.reissue:
+                self._reissue(request, now, queue, rng)
             return
         state = self.devices[index]
         state.enqueue(request, now)
@@ -306,7 +336,8 @@ class ServeSim:
                 args={"request": request.id, "device": state.device.name},
             )
             tracer.metrics.counter("serve.enqueued").inc()
-        self._dispatch(state, index, now, queue)
+        if not state.busy:
+            self._dispatch(state, index, now, queue)
 
     def _on_flush(self, index: int, now: float, queue) -> None:
         state = self.devices[index]
@@ -329,26 +360,25 @@ class ServeSim:
         duration = first.finish_ms - first.start_ms
         profile = state.profiles[first.network]
         share = profile.dynamic_j + state.static_watts * duration / 1e3 / size
+        finish = first.finish_ms
         latencies = self._latencies
-        per_network = self._per_network
+        # A batch holds one network's requests.
+        network_lats = self._per_network.get(first.network)
+        if network_lats is None:
+            network_lats = self._per_network[first.network] = []
         tacc = self._tacc
         obs = self._obs
-        good = 0
+        violations = 0
         for request in batch:
-            latency = request.finish_ms - request.arrival_ms
+            latency = finish - request.arrival_ms
             latencies.append(latency)
-            network_lats = per_network.get(request.network)
-            if network_lats is None:
-                network_lats = per_network[request.network] = []
             network_lats.append(latency)
             acc = tacc[request.tenant]
             acc.latencies.append(latency)
             acc.energy_j += share
             if latency > acc.tenant.slo_ms:
                 acc.violations += 1
-                self._violations += 1
-            else:
-                good += 1
+                violations += 1
             if obs:
                 metrics = self._tracer.metrics
                 metrics.histogram("serve.latency_ms").observe(latency)
@@ -358,11 +388,11 @@ class ServeSim:
                 metrics.counter("serve.completed").inc()
                 if latency > acc.tenant.slo_ms:
                     metrics.counter("serve.slo_violations").inc()
-            self._push_arrival(
-                self.workload.on_completion(request, now, self._issued, rng), queue
-            )
+            if acc.reissue:
+                self._reissue(request, now, queue, rng)
+        self._violations += violations
         self._win_completed += size
-        self._win_good += good
+        self._win_good += size - violations
         self._dispatch(state, index, now, queue)
         if not state.accepting:
             state.maybe_retire(now)
@@ -435,27 +465,14 @@ class ServeSim:
         the flush for the earliest pending deadline."""
         if state.busy or not state.pending:
             return
-        ready_network: str | None = None
-        ready_oldest = 0.0
-        pending_deadline: float | None = None
-        for network, batcher in state.batchers.items():
-            oldest = batcher.oldest_arrival_ms
-            if oldest is None:
-                continue
-            if batcher.ready(now):
-                if ready_network is None or oldest < ready_oldest:
-                    ready_network, ready_oldest = network, oldest
-            else:
-                deadline = batcher.deadline_ms()
-                if pending_deadline is None or deadline < pending_deadline:
-                    pending_deadline = deadline
-        if ready_network is not None:
-            self._launch(state, index, ready_network, now, queue)
-        elif pending_deadline is not None and (
-            state.flush_at is None or pending_deadline < state.flush_at
+        network, deadline = DynamicBatcher.next_launch(state.batchers, now)
+        if network is not None:
+            self._launch(state, index, network, now, queue)
+        elif deadline is not None and (
+            state.flush_at is None or deadline < state.flush_at
         ):
-            state.flush_at = pending_deadline
-            queue.push(pending_deadline, FLUSH, index)
+            state.flush_at = deadline
+            queue.push(deadline, FLUSH, index)
 
     def _launch(
         self, state: DeviceState, index: int, network: str, now: float, queue

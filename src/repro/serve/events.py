@@ -5,12 +5,16 @@ is a monotone insertion counter: events at the same simulated time pop
 in the order they were pushed.  That tie-break is what makes the whole
 simulator reproducible — no dict-iteration or hash ordering ever
 decides who goes first.
+
+Each event is a plain ``(time_ms, seq, kind, payload)`` tuple.  Tuples
+compare field by field, and ``seq`` is unique, so two events never get
+as far as comparing their payloads.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, NamedTuple
+from typing import Any, Iterator
 
 #: Event kinds, compared only for equality.
 ARRIVAL = "arrival"
@@ -20,42 +24,31 @@ COMPLETE = "complete"
 TICK = "tick"
 
 
-class Event(NamedTuple):
-    """One scheduled occurrence."""
-
-    time_ms: float
-    seq: int
-    kind: str
-    payload: Any
-
-
 class EventQueue:
-    """Min-heap of :class:`Event` with deterministic FIFO tie-breaking."""
+    """Min-heap of ``(time_ms, seq, kind, payload)`` event tuples with
+    deterministic FIFO tie-breaking."""
 
     __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, str, Any]] = []
         self._seq = 0
 
-    def push(self, time_ms: float, kind: str, payload: Any = None) -> Event:
-        """Schedule *kind* at *time_ms*; returns the stored event."""
-        event = Event(time_ms, self._seq, kind, payload)
+    def push(self, time_ms: float, kind: str, payload: Any = None) -> None:
+        """Schedule *kind* at *time_ms*."""
+        heapq.heappush(self._heap, (time_ms, self._seq, kind, payload))
         self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
 
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        return heapq.heappop(self._heap)
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest event, or None when empty."""
-        return self._heap[0].time_ms if self._heap else None
+    def drain(self) -> Iterator[tuple[float, int, str, Any]]:
+        """Pop event tuples in order until the queue is empty, including
+        events pushed while draining."""
+        heap = self._heap
+        heappop = heapq.heappop
+        while heap:
+            yield heappop(heap)
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-

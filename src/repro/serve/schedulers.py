@@ -128,7 +128,7 @@ class LeastLoadedScheduler:
         for index, state in enumerate(devices):
             if not state.accepting or state.full:
                 continue
-            depth = state.queue_len
+            depth = state.pending
             if best_index is None or depth < best_len:
                 best_index, best_len = index, depth
         return best_index

@@ -66,6 +66,9 @@ class MultiTenantWorkload(Workload):
 
     Arrivals are tagged with the owning tenant's name and stream index;
     chaining delegates to the tagged sub-workload with its private rng.
+    The open-loop generators copy the tags of the arrival they follow,
+    so a tagged copy is built only where a sub-workload's arrival lacks
+    them: primed arrivals, closed-loop reissues and trace replays.
     """
 
     def __init__(self, parts: Sequence[tuple[Tenant, Workload]]) -> None:
@@ -76,7 +79,9 @@ class MultiTenantWorkload(Workload):
             raise ValueError(f"duplicate tenant names in {names}")
         self.parts = tuple(parts)
         self.closed_loop = any(wl.closed_loop for _, wl in parts)
-        self._by_name = {tenant.name: i for i, (tenant, _) in enumerate(parts)}
+        self._names = tuple(names)
+        self._workloads = tuple(wl for _, wl in parts)
+        self._by_name = {name: i for i, name in enumerate(names)}
         # Per-run state, re-created by prime().
         self._rngs: list[Random] = []
         self._issued: list[int] = []
@@ -85,13 +90,10 @@ class MultiTenantWorkload(Workload):
     def tenants(self) -> tuple[Tenant, ...]:
         return tuple(tenant for tenant, _ in self.parts)
 
-    def _tag(self, arrival: Arrival | None, stream: int) -> Arrival | None:
-        if arrival is None:
-            return None
-        tenant, _ = self.parts[stream]
+    def _tag(self, arrival: Arrival, stream: int) -> Arrival:
         return Arrival(
             arrival.time_ms, arrival.network, arrival.index,
-            tenant.name, stream,
+            self._names[stream], stream,
         )
 
     def prime(self, rng: Random) -> list[Arrival]:
@@ -101,7 +103,7 @@ class MultiTenantWorkload(Workload):
         self._rngs = [Random(rng.getrandbits(64)) for _ in self.parts]
         self._issued = [0] * len(self.parts)
         primed: list[Arrival] = []
-        for stream, (_, workload) in enumerate(self.parts):
+        for stream, workload in enumerate(self._workloads):
             initial = workload.prime(self._rngs[stream])
             self._issued[stream] = len(initial)
             primed.extend(self._tag(arrival, stream) for arrival in initial)
@@ -109,11 +111,13 @@ class MultiTenantWorkload(Workload):
 
     def next_arrival(self, prev: Arrival, rng: Random) -> Arrival | None:
         stream = prev.stream
-        _, workload = self.parts[stream]
-        nxt = workload.next_arrival(prev, self._rngs[stream])
-        if nxt is not None:
-            self._issued[stream] += 1
-        return self._tag(nxt, stream)
+        nxt = self._workloads[stream].next_arrival(prev, self._rngs[stream])
+        if nxt is None:
+            return None
+        self._issued[stream] += 1
+        if nxt.stream != stream or nxt.tenant != self._names[stream]:
+            nxt = self._tag(nxt, stream)
+        return nxt
 
     def on_completion(
         self, request: Request, now_ms: float, issued: int, rng: Random
@@ -121,10 +125,10 @@ class MultiTenantWorkload(Workload):
         # ``issued`` from the engine is the global count; closed-loop
         # sub-workloads need their own stream's count.
         stream = self._by_name[request.tenant]
-        _, workload = self.parts[stream]
-        nxt = workload.on_completion(
+        nxt = self._workloads[stream].on_completion(
             request, now_ms, self._issued[stream], self._rngs[stream]
         )
-        if nxt is not None:
-            self._issued[stream] += 1
+        if nxt is None:
+            return None
+        self._issued[stream] += 1
         return self._tag(nxt, stream)

@@ -8,23 +8,31 @@ per-run state lives in the :class:`Arrival` chain (its ``index``) or in
 the engine — so the same workload instance can drive several schedulers
 back-to-back, each with a fresh ``random.Random(seed)``, and produce
 identical streams.
+
+Exponential gaps are drawn inline as ``-log(1.0 - rng.random()) /
+rate``, the body of ``Random.expovariate``, so every stream yields the
+same floats as a call to it would.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from math import log
 from pathlib import Path
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.serve.batching import Request
 
 
-@dataclass(frozen=True, slots=True)
-class Arrival:
-    """One request arrival in the generated stream."""
+class Arrival(NamedTuple):
+    """One request arrival in the generated stream.
+
+    Chained generators copy ``tenant`` and ``stream`` from the arrival
+    they follow, so an overlay's tags carry through a chain without a
+    second, tagged copy per arrival.
+    """
 
     time_ms: float
     network: str
@@ -52,7 +60,12 @@ def _pick(networks: Sequence[str], weights: Sequence[float] | None, rng: Random)
 
 
 class Workload:
-    """Base request generator; subclasses override the hooks they use."""
+    """Base request generator; subclasses override the hooks they use.
+
+    The engine consults :meth:`on_completion` only when ``closed_loop``
+    is true: an open-loop workload's completions and sheds never
+    reissue, so the engine skips the call for them.
+    """
 
     #: Closed-loop workloads issue new arrivals from completions.
     closed_loop = False
@@ -92,7 +105,7 @@ class PoissonWorkload(Workload):
         self.weights = tuple(weights) if weights is not None else None
 
     def _gap_ms(self, rng: Random) -> float:
-        return rng.expovariate(self.rps) * 1e3
+        return -log(1.0 - rng.random()) / self.rps * 1e3
 
     def prime(self, rng: Random) -> list[Arrival]:
         if self.requests < 1:
@@ -106,6 +119,8 @@ class PoissonWorkload(Workload):
             prev.time_ms + self._gap_ms(rng),
             _pick(self.networks, self.weights, rng),
             prev.index + 1,
+            prev.tenant,
+            prev.stream,
         )
 
 
@@ -148,7 +163,7 @@ class BurstyWorkload(PoissonWorkload):
             if rate <= 0:
                 t = boundary
                 continue
-            gap = rng.expovariate(rate) * 1e3
+            gap = -log(1.0 - rng.random()) / rate * 1e3
             if t + gap > boundary:
                 t = boundary
                 continue
@@ -168,6 +183,8 @@ class BurstyWorkload(PoissonWorkload):
             self._next_time(prev.time_ms, rng),
             _pick(self.networks, self.weights, rng),
             prev.index + 1,
+            prev.tenant,
+            prev.stream,
         )
 
 
@@ -230,7 +247,7 @@ class DiurnalWorkload(Workload):
             index = math.floor((t - self.phase_ms) / segment_ms)
             boundary = self.phase_ms + (index + 1) * segment_ms
             rate = self._rates[index % self.segments]
-            gap = rng.expovariate(rate) if rate > 0 else float("inf")
+            gap = -log(1.0 - rng.random()) / rate if rate > 0 else float("inf")
             if t + gap > boundary:
                 t = boundary
                 continue
@@ -250,6 +267,8 @@ class DiurnalWorkload(Workload):
             self._next_time(prev.time_ms, rng),
             _pick(self.networks, self.weights, rng),
             prev.index + 1,
+            prev.tenant,
+            prev.stream,
         )
 
 
@@ -306,7 +325,7 @@ class ClosedLoopWorkload(Workload):
     def _think(self, rng: Random) -> float:
         if self.think_ms <= 0:
             return 0.0
-        return rng.expovariate(1.0 / self.think_ms)
+        return -log(1.0 - rng.random()) / (1.0 / self.think_ms)
 
     def prime(self, rng: Random) -> list[Arrival]:
         count = min(self.clients, self.requests)

@@ -4,13 +4,16 @@
     PYTHONPATH=src python tests/golden/regen.py full         # minutes
     PYTHONPATH=src python tests/golden/regen.py campaign     # < 1 minute
     PYTHONPATH=src python tests/golden/regen.py serve-scale  # seconds
+    PYTHONPATH=src python tests/golden/regen.py day-in-the-life  # < 1 minute
 
 ``campaign`` rewrites the committed golden Pareto frontiers in
 ``examples/`` (``smoke_frontier.json``, ``l1_sweep_frontier.json``)
 that ``repro campaign compare`` and CI's campaign-smoke job gate on.
 ``serve-scale`` rewrites ``serve_scale.digest``, the stats digest of
 ``examples/serve_scale.toml`` at light fidelity that CI's serve-scale
-job gates on.
+job gates on; ``day-in-the-life`` rewrites ``day_in_the_life.digest``
+the same way for ``examples/day_in_the_life.toml`` (1M requests, every
+open-loop shape plus a closed loop).
 
 Only regenerate for an *intentional* behavioral change (engine bump,
 new network weights, QoR-model change); the tests pin these bytes on
@@ -55,13 +58,20 @@ def regen_campaigns() -> None:
         print(f"wrote {path}")
 
 
-def regen_serve_scale() -> None:
+#: serve scenario under examples/ -> committed stats digest golden.
+SERVE_GOLDENS = {
+    "serve-scale": ("serve_scale.toml", "serve_scale.digest"),
+    "day-in-the-life": ("day_in_the_life.toml", "day_in_the_life.digest"),
+}
+
+
+def regen_serve_digest(scenario_name: str, golden_name: str) -> None:
     from repro.gpu.config import SimOptions
     from repro.platforms import make_config
     from repro.runs import ResultStore
     from repro.serve import build_profiles, load_scenario, run_serve
 
-    scenario = load_scenario(EXAMPLES_DIR / "serve_scale.toml")
+    scenario = load_scenario(EXAMPLES_DIR / scenario_name)
     fleet = scenario.fleet()
     platforms = [device.platform for device in fleet]
     if scenario.autoscale is not None:
@@ -73,7 +83,7 @@ def regen_serve_scale() -> None:
         fleet, profiles, scenario.workload(), scenario.config,
         pipeline=scenario.pipeline(),
     )
-    path = GOLDEN_DIR / "serve_scale.digest"
+    path = GOLDEN_DIR / golden_name
     path.write_text(stats.digest() + "\n")
     print(f"wrote {path}")
 
@@ -89,13 +99,13 @@ def main() -> None:
     elif which == "campaign":
         regen_campaigns()
         return
-    elif which in ("serve-scale", "--serve-scale"):
-        regen_serve_scale()
+    elif which.removeprefix("--") in SERVE_GOLDENS:
+        regen_serve_digest(*SERVE_GOLDENS[which.removeprefix("--")])
         return
     else:
         raise SystemExit(
             f"unknown target {which!r} "
-            f"(expected fixture|full|campaign|serve-scale)"
+            f"(expected fixture|full|campaign|serve-scale|day-in-the-life)"
         )
     print(f"wrote {path}")
 

@@ -90,6 +90,43 @@ class TestBatcherProperties:
         assert [r.id for r in popped] == [r.id for r in requests]
 
 
+def _reference_launch(batchers: dict[str, DynamicBatcher], now_ms: float):
+    """The dispatch choice spelled out with the per-batcher API."""
+    ready, ready_oldest, deadline = None, 0.0, None
+    for network, batcher in batchers.items():
+        oldest = batcher.oldest_arrival_ms
+        if oldest is None:
+            continue
+        if batcher.ready(now_ms):
+            if ready is None or oldest < ready_oldest:
+                ready, ready_oldest = network, oldest
+        elif deadline is None or batcher.deadline_ms() < deadline:
+            deadline = batcher.deadline_ms()
+    return (ready, None) if ready is not None else (None, deadline)
+
+
+class TestNextLaunch:
+    """``DynamicBatcher.next_launch`` is the batchers' ready/deadline
+    predicate evaluated for a whole device in one pass."""
+
+    @given(
+        queued=st.lists(
+            st.tuples(st.sampled_from("abc"), st.floats(0, 100, allow_nan=False)),
+            max_size=40,
+        ),
+        max_batch=st.integers(1, 8),
+        timeout=st.floats(0, 20, allow_nan=False),
+        now=st.floats(0, 140, allow_nan=False),
+    )
+    def test_agrees_with_batcher_predicate(self, queued, max_batch, timeout, now):
+        batchers = {network: DynamicBatcher(max_batch, timeout) for network in "abc"}
+        for index, (network, arrival) in enumerate(sorted(queued, key=lambda q: q[1])):
+            batchers[network].add(Request(index, network, arrival))
+        assert DynamicBatcher.next_launch(batchers, now) == _reference_launch(
+            batchers, now
+        )
+
+
 class TestBatcherEdges:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,27 @@ class TestServeCli:
             "serve", "--networks", "gru", "--devices", "warpdrive",
         ]) == 2
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--batch", "0", "serve: max_batch must be >= 1, got 0"),
+        ("--batch-timeout-ms", "-1", "serve: batch_timeout_ms must be >= 0, got -1.0"),
+        ("--queue", "0", "serve: max_queue must be >= 1, got 0"),
+        ("--slo-ms", "0", "serve: slo_ms must be > 0, got 0.0"),
+        ("--rps", "0", "serve: rps must be > 0"),
+    ])
+    def test_out_of_range_knob_is_one_line_diagnosis(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        exit_code = main([
+            "serve", "--networks", "gru", "--rps", "100", "--requests", "200",
+            "--light", "--cache-dir", str(tmp_path), flag, value,
+        ])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        # Rejected before any profile was built.
+        assert not any(tmp_path.iterdir())
+
 
 SCENARIO_TOML = """\
 [scenario]
@@ -178,6 +199,22 @@ class TestScenarioCli:
             "serve scenario: unknown key 'loop' in [scenario]; "
             "known keys: name, description, seed\n"
         )
+
+    def test_out_of_range_scenario_knob_is_one_line_diagnosis(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "scenario.toml"
+        path.write_text(
+            SCENARIO_TOML.replace("max_queue = 16\n", "max_queue = 16\nmax_batch = 0\n")
+        )
+        exit_code = main([
+            "serve", "--scenario", str(path), "--light",
+            "--cache-dir", str(tmp_path), "--json",
+        ])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "serve scenario: max_batch must be >= 1, got 0\n"
 
     def test_scenario_text_output_mentions_tenants(self, capsys, tmp_path):
         path = self.write_scenario(tmp_path)

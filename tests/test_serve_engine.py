@@ -8,30 +8,44 @@ behaviour can be asserted to the millisecond.
 from __future__ import annotations
 
 from dataclasses import replace
+from random import Random
 
 import pytest
 
 from repro.platforms import make_config, register_platform, unregister_platform
 from repro.serve import (
+    AutoscaleConfig,
+    BurstyWorkload,
     ClosedLoopWorkload,
+    DiurnalWorkload,
+    MultiTenantWorkload,
     PoissonWorkload,
     ServeConfig,
     ServeDevice,
     ServeSim,
+    Tenant,
     TraceWorkload,
     build_fleet,
+    make_pipeline,
     run_serve,
 )
 from repro.serve.profiles import KernelTerm, LatencyProfile
 
 
 def make_profile(
-    network: str, platform: str, base_ms: float, per_item_ms: float = 0.0
+    network: str,
+    platform: str,
+    base_ms: float,
+    per_item_ms: float = 0.0,
+    dynamic_j: float = 0.0,
+    static_watts: float = 0.0,
 ) -> LatencyProfile:
     terms = (
         (KernelTerm(per_item_ms * 1e6, 1, 1, 1),) if per_item_ms else ()
     )
-    return LatencyProfile(network, platform, 1.0, base_ms * 1e6, terms)
+    return LatencyProfile(
+        network, platform, 1.0, base_ms * 1e6, terms, dynamic_j, static_watts
+    )
 
 
 @pytest.fixture()
@@ -231,3 +245,109 @@ class TestEngineValidation:
         assert data["per_network"]["net"]["completed"] == stats.completed
         for device in data["devices"]:
             assert 0.0 <= device["utilization"] <= 1.0
+
+
+def _every_arrival_kind_run(scheduler: str):
+    """20k requests from one tenant per arrival kind on a small
+    autoscaled GP102 fleet under SLO-aware admission."""
+    fleet = build_fleet("gp102:3")
+    profiles = {
+        ("cnn", "GP102"): make_profile("cnn", "GP102", 4.0, 0.75, 0.02, 60.0),
+        ("rnn", "GP102"): make_profile("rnn", "GP102", 1.5, 0.1, 0.005, 60.0),
+    }
+    trace_rng = Random(5)
+    clock = 0.0
+    trace = []
+    for _ in range(2000):
+        clock += trace_rng.expovariate(0.4)
+        trace.append((clock, trace_rng.choice(("cnn", "rnn"))))
+    parts = [
+        (Tenant("poisson", 30.0, 0),
+         PoissonWorkload(700.0, 5000, ["cnn", "rnn"], weights=[3.0, 1.0])),
+        (Tenant("bursty", 12.0, 1),
+         BurstyWorkload(2500.0, 4000, ["rnn"], on_ms=50.0, off_ms=150.0,
+                        off_factor=0.2)),
+        (Tenant("diurnal", 40.0, 0),
+         DiurnalWorkload(900.0, 5000, ["cnn"], period_ms=4000.0,
+                         amplitude=0.8, segments=16)),
+        (Tenant("trace", 25.0, 1), TraceWorkload(trace)),
+        (Tenant("closed", 80.0, 2),
+         ClosedLoopWorkload(24, 4000, ["cnn", "rnn"], think_ms=3.0)),
+    ]
+    config = ServeConfig(
+        slo_ms=30.0, max_batch=6, batch_timeout_ms=1.5, max_queue=16,
+        scheduler=scheduler, seed=2024,
+    )
+    pipeline = make_pipeline(
+        admission="slo-aware",
+        autoscale=AutoscaleConfig(
+            template="gp102", min_devices=2, max_devices=5, interval_ms=100.0,
+            cooldown_ms=300.0, up_queue_depth=6.0, down_queue_depth=1.0,
+        ),
+    )
+    return run_serve(fleet, profiles, MultiTenantWorkload(parts), config, pipeline)
+
+
+class TestServeGolden:
+    """Bit-identity of the event loop over every arrival kind.
+
+    The digests were recorded by running :func:`_every_arrival_kind_run`
+    before the event loop's per-request work was cut; any change to the
+    loop must reproduce them exactly.
+    """
+
+    DIGESTS = {
+        "round-robin": "8b542e10a9d94b9cc26eb7157f62cca286d4e24802ed51187d7f36426bf1accb",
+        "least-loaded": "41249b5b32a6ea42a1cb0aff64d2718f16b189e22ba73624b6fe895c4bdc8ae4",
+        "latency-aware": "38549ee7a93b71d32cb819bc08a683a3a4f302d67979de2ecf4e1f207d9813e9",
+    }
+
+    @pytest.mark.parametrize("scheduler", sorted(DIGESTS))
+    def test_digest_pinned(self, scheduler):
+        stats = _every_arrival_kind_run(scheduler)
+        # The scenario reaches every path it is meant to pin.
+        assert set(stats.shed_reasons) == {"priority", "slo"}
+        assert {event[1] for event in stats.autoscale["events"]} == {1, -1}
+        assert all(tenant.completed for tenant in stats.per_tenant.values())
+        assert stats.digest() == self.DIGESTS[scheduler]
+
+
+def _md1_mean_latency(rho: float, requests: int, seed: int, tiny_gpu) -> float:
+    """Mean latency of one device with a fixed 1 ms service time, batch
+    1 and Poisson arrivals at ``rho`` requests per millisecond."""
+    device = ServeDevice("md1#0", replace(tiny_gpu, name="MD1"))
+    profiles = {("net", "MD1"): make_profile("net", "MD1", 1.0)}
+    assert profiles["net", "MD1"].latency_ms(1) == 1.0
+    config = ServeConfig(
+        max_batch=1, batch_timeout_ms=0.0, max_queue=10**9, slo_ms=1e9,
+        scheduler="round-robin", seed=seed,
+    )
+    workload = PoissonWorkload(rps=rho * 1000.0, requests=requests, networks=["net"])
+    stats = run_serve([device], profiles, workload, config)
+    assert stats.completed == requests
+    return stats.latency_mean_ms
+
+
+def _pollaczek_khinchine_ms(rho: float) -> float:
+    """M/D/1 mean sojourn time for a 1 ms service time."""
+    return 1.0 + rho / (2.0 * (1.0 - rho))
+
+
+class TestQueueingOracle:
+    """The engine against queueing theory: one device, batch 1, Poisson
+    arrivals and a fixed 1 ms service time form an M/D/1 queue, whose
+    mean latency Pollaczek-Khinchine gives in closed form."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+    def test_md1_mean_latency(self, rho, tiny_gpu):
+        mean = _md1_mean_latency(rho, 50_000, 1, tiny_gpu)
+        expected = _pollaczek_khinchine_ms(rho)
+        assert abs(mean - expected) / expected < 0.03
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7, 0.9])
+    def test_md1_mean_latency_long(self, rho, seed, tiny_gpu):
+        mean = _md1_mean_latency(rho, 200_000, seed, tiny_gpu)
+        expected = _pollaczek_khinchine_ms(rho)
+        assert abs(mean - expected) / expected < 0.02

@@ -1,4 +1,8 @@
-"""Tests for the deterministic event queue of ``repro.serve.events``."""
+"""Tests for the deterministic event queue of ``repro.serve.events``.
+
+Events are plain ``(time_ms, seq, kind, payload)`` tuples, drained in
+order and read here by position.
+"""
 
 from __future__ import annotations
 
@@ -13,32 +17,43 @@ class TestEventQueue:
         queue.push(3.0, ARRIVAL, "c")
         queue.push(1.0, ARRIVAL, "a")
         queue.push(2.0, ARRIVAL, "b")
-        assert [queue.pop().payload for _ in range(3)] == ["a", "b", "c"]
+        assert [event[3] for event in queue.drain()] == ["a", "b", "c"]
 
     def test_ties_break_by_insertion_order(self):
         queue = EventQueue()
         for index in range(10):
             queue.push(5.0, FLUSH, index)
-        assert [queue.pop().payload for _ in range(10)] == list(range(10))
+        assert [event[3] for event in queue.drain()] == list(range(10))
 
     def test_ties_stable_across_kinds(self):
         queue = EventQueue()
         queue.push(1.0, COMPLETE, "first")
         queue.push(1.0, ARRIVAL, "second")
         queue.push(1.0, FLUSH, "third")
-        kinds = [queue.pop().kind for _ in range(3)]
+        kinds = [event[2] for event in queue.drain()]
         assert kinds == [COMPLETE, ARRIVAL, FLUSH]
 
-    def test_peek_and_len(self):
+    def test_len_and_bool(self):
         queue = EventQueue()
-        assert queue.peek_time() is None
         assert not queue
         queue.push(4.5, ARRIVAL)
         queue.push(2.5, ARRIVAL)
-        assert queue.peek_time() == 2.5
+        assert queue
         assert len(queue) == 2
-        queue.pop()
-        assert queue.peek_time() == 4.5
+        next(queue.drain())
+        assert len(queue) == 1
+
+    def test_drain_sees_events_pushed_while_draining(self):
+        queue = EventQueue()
+        queue.push(1.0, ARRIVAL, "a")
+        queue.push(3.0, ARRIVAL, "c")
+        popped = []
+        for time_ms, _, _, payload in queue.drain():
+            popped.append(payload)
+            if payload == "a":
+                queue.push(2.0, FLUSH, "b")
+        assert popped == ["a", "b", "c"]
+        assert not queue
 
     def test_random_interleaving_is_sorted(self):
         rng = random.Random(1)
@@ -46,6 +61,6 @@ class TestEventQueue:
         times = [rng.uniform(0, 100) for _ in range(500)]
         for t in times:
             queue.push(t, ARRIVAL)
-        popped = [queue.pop().time_ms for _ in range(len(times))]
+        popped = [event[0] for event in queue.drain()]
         assert popped == sorted(times)
 

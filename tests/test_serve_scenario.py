@@ -161,6 +161,19 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_batch", 0, "max_batch must be >= 1, got 0"),
+        ("batch_timeout_ms", -1.0, "batch_timeout_ms must be >= 0, got -1.0"),
+        ("max_queue", 0, "max_queue must be >= 1, got 0"),
+        ("slo_ms", 0.0, "slo_ms must be > 0, got 0.0"),
+    ])
+    def test_out_of_range_serving_knob(self, key, value, message):
+        data = minimal()
+        data["serving"][key] = value
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value) == f"serve scenario: {message}"
+
     def test_missing_tenants(self):
         data = minimal()
         data["tenants"] = []
