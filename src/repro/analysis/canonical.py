@@ -3,9 +3,8 @@
 Two launches of a compiled network frequently differ *only* in which
 concrete tensors they touch: ResNet stamps the same bottleneck
 convolution dozens of times, an RNN repeats its cell once per timestep.
-The simulator's result reuse (and the persistent kernel cache in
-:mod:`repro.runs.store`) needs an identity that equates exactly those
-launches whose :class:`~repro.profiling.stats.KernelStats` are
+The simulator's result reuse needs an identity that equates exactly
+those launches whose :class:`~repro.profiling.stats.KernelStats` are
 guaranteed bit-identical — no weaker (a collision would silently copy
 wrong numbers) and no stronger than necessary (a missed equivalence
 just wastes simulation time).

@@ -13,13 +13,13 @@ Subcommands:
 
 ``repro simulate [networks...]``
     Run whole-network GPU simulations and print per-network cycle and
-    time totals.  Results persist in the cross-run kernel cache
+    time totals.  Each run persists as one entry in the result store
     (``.repro-cache/`` or ``$REPRO_CACHE_DIR``; ``--no-cache``
     disables).  ``--jobs N`` fans networks out across N worker
     processes; output order stays the input order.
 
 ``repro bench [networks...]``
-    Time cold vs warm-cache simulations per network and write
+    Time cold simulations vs warm run-entry reads per network and write
     ``BENCH_sim.json`` (``--seed`` also times the frozen reference
     engine for speedup ratios).  ``--json`` also prints the payload.
 
@@ -67,12 +67,12 @@ Subcommands:
     (``--golden``), exiting 1 on any regression — the QoR gate CI runs.
 
 ``repro cache``
-    Inspect (``stats``) or empty (``clear``) the unified result store —
-    kernel entries and whole-network run entries in one directory
-    (plus any stale pre-unification ``.tango_cache/``).  ``cache
-    stats`` breaks entries and bytes down by the engine version that
-    wrote them; ``cache clear --engine VER`` prunes only that
-    version's (e.g. stale) entries.
+    Inspect (``stats``) or empty (``clear``) the result store: one
+    whole-network run entry per simulated run, under ``runs/``.  Both
+    actions also cover ``*.json`` files in the store root, where older
+    checkouts wrote per-kernel entries.  ``cache stats`` breaks entries
+    and bytes down by the engine version that wrote them; ``cache clear
+    --engine VER`` prunes only that version's (e.g. stale) entries.
 
 ``repro networks``
     List the benchmark suite (paper networks plus extensions);
@@ -150,10 +150,8 @@ def _light_requested(args: argparse.Namespace) -> bool:
 
 
 def _sim_options(args: argparse.Namespace):
-    from repro.gpu import engine
     from repro.gpu.config import SimOptions
 
-    engine.set_engine(getattr(args, "engine", None))
     options = SimOptions(scheduler=args.scheduler)
     if _light_requested(args):
         options = options.light()
@@ -616,8 +614,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(json.dumps(stats, indent=2))
         else:
             print(f"cache dir: {stats['dir']}")
-            print(f"entries:   {stats['entries']} "
-                  f"({stats['kernel_entries']} kernel, {stats['run_entries']} run)")
+            print(f"entries:   {stats['entries']}")
             print(f"bytes:     {stats['bytes']}")
             print(f"engine:    {stats['engine_version']}")
             for engine, bucket in stats["by_engine"].items():
@@ -629,9 +626,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 print(f"dedup:     {dedup['kernels_simulated']} kernels "
                       f"simulated for {dedup['kernels_requested']} requested "
                       f"({dedup['replicated']} deduplicated)")
-            if stats["legacy_tango_entries"]:
-                print(f"legacy .tango_cache entries: "
-                      f"{stats['legacy_tango_entries']} (run 'repro cache clear')")
     else:
         engine = getattr(args, "engine", None)
         removed = clear_cache(args.cache_dir, engine=engine)
@@ -913,10 +907,6 @@ def _add_sim_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--scheduler", default="gto",
                             choices=("gto", "lrr", "tlv"),
                             help="warp scheduler (default: gto)")
-    sub_parser.add_argument("--engine", default=None,
-                            choices=("seed", "vector"),
-                            help="simulation engine (default: $REPRO_ENGINE "
-                                 "or vector); both are bit-identical")
     _add_fidelity_args(sub_parser)
 
 
@@ -1040,8 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         parents=[p["json"], p["jobs"], p["cache_dir"], p["no_cache"]],
         help="run whole-network GPU simulations (cached, parallelizable)",
-        description="Simulate suite networks on a platform model, using "
-        "the persistent cross-run kernel-result cache.",
+        description="Simulate suite networks on a platform model; each "
+        "run persists as one entry in the result store.",
     )
     simulate.add_argument("networks", nargs="*",
                           help="network names (default: the paper's seven)")
@@ -1051,7 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         parents=[p["json"], p["cache_dir"]],
-        help="time cold vs warm-cache simulations (writes BENCH_sim.json)",
+        help="time cold simulations vs warm run-entry reads "
+        "(writes BENCH_sim.json)",
         description="Benchmark the simulation engine per network and emit "
         "a JSON timing report.",
     )
@@ -1184,8 +1175,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[p["json"], p["cache_dir"]],
         help="inspect or clear the unified result store",
         description="Summarize (stats) or empty (clear) the cross-run "
-        "result store shared by simulate/bench/serve/harness: kernel "
-        "entries plus whole-network run entries.",
+        "result store shared by simulate/bench/serve/harness: one "
+        "whole-network run entry per simulated run.",
     )
     cache.add_argument("action", choices=("stats", "clear"),
                        help="what to do with the cache")

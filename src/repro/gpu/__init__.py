@@ -10,11 +10,12 @@ wave scaling to the full chip:
 * :mod:`repro.gpu.scheduler` -- GTO / LRR / TLV warp schedulers
   (Figures 15-16).
 * :mod:`repro.gpu.sm` -- the SM issue loop with full stall attribution
-  (Figure 7): the default ``vector`` engine.
+  (Figure 7): the engine every simulation runs.
 * :mod:`repro.gpu.seed_engine` -- the frozen original loop, kept as the
-  bit-identity oracle.
-* :mod:`repro.gpu.engine` -- selects between the two (``--engine``,
-  ``$REPRO_ENGINE``).
+  bit-identity oracle that tests and ``repro bench --seed`` call
+  directly.
+* :mod:`repro.gpu.engine` -- the engine's version string (folded into
+  every result-store key) and its wave class.
 * :mod:`repro.gpu.simulator` -- kernel- and network-level drivers with
   block/loop sampling and result scaling.
 """

@@ -10,8 +10,9 @@ same ``simulate_kernel`` / ``simulate_network`` signatures.
 
 ``tests/test_engine_equivalence.py`` runs both engines over suite
 networks and asserts the resulting :class:`KernelStats` match exactly.
-Nothing outside the tests (and ``repro bench --compare-seed``) should
-import this module; it is deliberately slow.
+Nothing outside the tests (and ``repro bench --seed``) should import
+this module; it is deliberately slow.  No simulation run can select
+it, so nothing it returns reaches the result store.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ from repro.memory.coalescer import coalesce
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.profiling.stall import StallReason
 from repro.profiling.stats import KernelStats
-
-#: Result-cache version string of the seed engine (see
-#: :func:`repro.gpu.engine.engine_version`).  The seed is frozen, so
-#: this should never change; it exists so runs executed under
-#: ``REPRO_ENGINE=seed`` key the result stores distinctly.
-ENGINE_VERSION = "seed-1"
 
 #: Register-producer kinds, used for stall attribution.
 KIND_ALU = 0

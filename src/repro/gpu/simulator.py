@@ -40,10 +40,10 @@ import math
 import pickle
 from dataclasses import dataclass, field, replace
 
-from repro.gpu import engine as engine_registry
 from repro.gpu.config import GpuConfig, SimOptions
 from repro.gpu.decode import decode_program
 from repro.gpu.occupancy import Occupancy, compute_occupancy
+from repro.gpu.sm import SmWave
 from repro.isa.program import expand_program
 from repro.kernels.compile import compiled_network
 from repro.kernels.launch import KernelLaunch
@@ -214,8 +214,8 @@ class L1Memo:
     Entries are keyed by the launch signature, the config with
     ``l1_size`` zeroed and the options — never by a wave-class tuple,
     which would pin the canonical program in memory.  The engine is not
-    part of the key: only :class:`~repro.gpu.sm.SmWave` runs are ever
-    recorded, because the seed engine never consults the memo.
+    part of the key: :class:`~repro.gpu.sm.SmWave` is the only engine a
+    simulation runs.
     Each entry is its run pickled into one bytes object: a live
     ``_WaveRun`` is some thirty small objects (stats, counters, floats),
     and holding those for a whole L1D sweep raised its peak RSS by
@@ -259,18 +259,11 @@ def _run_wave(
     kernel: KernelLaunch, config: GpuConfig, options: SimOptions, sim_blocks: int,
     keep_l1_lines: bool = False,
 ) -> _WaveRun:
-    """Expand, decode and execute one resident wave on one SM.
-
-    The wave class comes from the engine registry
-    (:func:`repro.gpu.engine.wave_class`).  The seed engine never
-    reaches here — :func:`simulate_kernel` delegates to its frozen
-    driver wholesale.
-    """
+    """Expand, decode and execute one resident wave on one SM."""
     expanded = expand_program(kernel.program, options.max_trips, options.max_outer_trips)
     decoded = decode_program(expanded)
     hierarchy = _make_hierarchy(config)
-    wave_cls = engine_registry.wave_class()
-    wave = wave_cls(kernel, decoded, _GUARD_DECODED, sim_blocks, config, options, hierarchy)
+    wave = SmWave(kernel, decoded, _GUARD_DECODED, sim_blocks, config, options, hierarchy)
     if kernel.shared_input and kernel.total_blocks > sim_blocks:
         wave.warm_shared_input()
     stats = wave.run()
@@ -293,15 +286,7 @@ def simulate_kernel(
     callers own that scoping.  *_l1_memo* (internal) is consulted when
     the wave cache misses and records eviction-free runs; it scopes
     itself by key, so one memo serves any mix of configs and options.
-
-    When the seed engine is active (``REPRO_ENGINE=seed`` or
-    ``--engine seed``), the call delegates to the frozen seed driver
-    wholesale — no wave-class dedup, no pluggable wave class.
     """
-    if engine_registry.get_engine() == "seed":
-        from repro.gpu import seed_engine
-
-        return seed_engine.simulate_kernel(kernel, config, options)
     options = options or SimOptions()
     occupancy = compute_occupancy(kernel, config)
     sim_blocks = occupancy.blocks
@@ -381,7 +366,6 @@ def simulate_network(
     name: str,
     config: GpuConfig,
     options: SimOptions | None = None,
-    cache=None,
     dedup: bool = True,
     l1_memo: L1Memo | None = None,
 ) -> NetworkResult:
@@ -393,27 +377,13 @@ def simulate_network(
     run; each occurrence still contributes its own entry — and its own
     launch overhead — to the result.  ``dedup=False`` simulates every
     launch from scratch; the two modes are bit-identical by construction
-    and by test.
-
-    *cache*, when given, is a
-    :class:`repro.runs.store.KernelResultCache`: unique-signature
-    kernels are looked up there before simulating and stored after.
-    The default (no persistent cache) leaves library behaviour
-    unchanged; the ``repro simulate`` CLI and the run pipeline opt in.
+    and by test.  Nothing here reads or writes the result store: whole
+    runs persist through :class:`repro.runs.executor.Executor`.
 
     *l1_memo*, when given with *dedup*, is an :class:`L1Memo` shared
     across calls: a kernel whose wave it serves from another L1D size
     traces with ``source="l1_reuse"``.
-
-    When the seed engine is active the call delegates wholesale to
-    :func:`repro.gpu.seed_engine.simulate_network` (which ignores
-    *cache* and *dedup* — the frozen driver predates both and always
-    applies its own signature-level reuse).
     """
-    if engine_registry.get_engine() == "seed":
-        from repro.gpu import seed_engine
-
-        return seed_engine.simulate_network(name, config, options)
     options = options or SimOptions()
     tracer = get_tracer()
     result = NetworkResult(network=name, config=config, options=options)
@@ -430,28 +400,11 @@ def simulate_network(
         seen.add(signature)
         hit = local.get(signature) if dedup else None
         if hit is None:
-            entry = cache.get(signature, config, options) if cache is not None else None
-            if entry is not None:
-                source = "cache"
-                hit = KernelResult(
-                    kernel=kernel,
-                    stats=entry.stats,
-                    occupancy=entry.occupancy,
-                    sample_factor=entry.sample_factor,
-                    block_factor=entry.block_factor,
-                )
-            else:
-                reused = l1_memo.reused if l1_memo is not None else 0
-                hit = simulate_kernel(
-                    kernel, config, options, _wave_cache=wave_cache, _l1_memo=l1_memo
-                )
-                source = "l1_reuse" if l1_memo and l1_memo.reused > reused else "fresh"
-                if cache is not None:
-                    cache.put(
-                        signature, config, options,
-                        hit.stats, hit.occupancy,
-                        hit.sample_factor, hit.block_factor,
-                    )
+            reused = l1_memo.reused if l1_memo is not None else 0
+            hit = simulate_kernel(
+                kernel, config, options, _wave_cache=wave_cache, _l1_memo=l1_memo
+            )
+            source = "l1_reuse" if l1_memo and l1_memo.reused > reused else "fresh"
             if dedup:
                 local[signature] = hit
         else:

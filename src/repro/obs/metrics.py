@@ -3,8 +3,8 @@
 The registry is deliberately small — three metric kinds cover what the
 execution layers need to report:
 
-* :class:`Counter` — monotonically increasing totals (kernel-cache
-  hits, fresh simulations, shed requests, SLO violations);
+* :class:`Counter` — monotonically increasing totals (store hits,
+  fresh simulations, shed requests, SLO violations);
 * :class:`Gauge` — a sampled value over time, keeping a ``(ts, value)``
   timeline in the clock domain it was registered with (per-device queue
   depths over simulated time).  Gauge timelines export as Chrome-trace

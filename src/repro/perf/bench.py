@@ -1,15 +1,13 @@
-"""Engine benchmark: cold vs warm-cache whole-network simulation times.
+"""Engine benchmark: cold simulation vs warm run-entry read times.
 
 Backs the ``repro bench`` subcommand.  For each network it times
 
 * **cold** — a plain :func:`~repro.gpu.simulator.simulate_network` call,
-  no persistent cache (pure engine speed);
-* **warm** — the same call against the kernel layer of a freshly
-  opened :class:`~repro.runs.store.ResultStore` whose directory was
-  populated by a prior run, so every unique kernel is a disk hit;
+  no persistent store (pure engine speed);
 * **run-warm** — an :class:`~repro.runs.executor.Executor` read of the
-  whole-network run entry (the harness/serve fast path: one file, no
-  per-kernel replay);
+  whole-network run entry through a freshly opened
+  :class:`~repro.runs.store.ResultStore` (the harness/serve fast path:
+  one file);
 * **seed** (optional) — the frozen reference engine in
   :mod:`repro.gpu.seed_engine`, for before/after speedup reporting.
 
@@ -18,12 +16,12 @@ Each timing is taken ``runs`` times.  The legacy scalar fields
 scheduler noise), and every per-run sample is kept under ``samples`` so
 :func:`compare_bench` can run a rank test instead of comparing two
 noisy minima.  The emitted JSON maps each network to ``{cold_s,
-warm_s, run_warm_s, kernels, unique_kernels, engine, engine_version,
-samples, cold_mean_s, cold_std_s, cold_ci95_s}`` (plus ``seed_s`` when
-requested) — the schema of the committed ``BENCH_sim.json``, a
-superset of the pre-``--runs`` one.  The cold path runs with
-canonical-signature dedup on (the default), so ``unique_kernels`` is
-the number of simulations the engine actually performed per network.
+run_warm_s, kernels, unique_kernels, engine_version, samples,
+cold_mean_s, cold_std_s, cold_ci95_s}`` (plus ``seed_s`` when
+requested) — the schema of the committed ``BENCH_sim.json``.  The
+cold path runs with canonical-signature dedup on (the default), so
+``unique_kernels`` is the number of simulations the engine actually
+performed per network.
 
 :func:`compare_bench` is the regression gate behind ``repro bench
 --compare``: per network it feeds the baseline's and the fresh run's
@@ -44,7 +42,7 @@ import time
 from pathlib import Path
 
 from repro.gpu.config import GpuConfig, SimOptions
-from repro.gpu.engine import engine_version, get_engine
+from repro.gpu.engine import engine_version
 from repro.gpu.simulator import simulate_network
 from repro.perf.stats import compare_samples, summarize
 from repro.runs import Executor, ResultStore, RunSpec
@@ -68,7 +66,8 @@ def bench_network(
     runs: int = 1,
     seed: bool = False,
 ) -> dict:
-    """Time one network cold, warm-cache, and optionally on the seed engine."""
+    """Time one network cold, warm from its run entry, and optionally on
+    the seed engine."""
     result = simulate_network(name, config, options)
     cold = _sample(lambda: simulate_network(name, config, options), runs)
     stats = summarize(cold)
@@ -80,22 +79,13 @@ def bench_network(
         "cold_ci95_s": round(stats["ci95"], 6),
         "kernels": len(result.kernels),
         "unique_kernels": result.unique_kernels,
-        "engine": get_engine(),
         "engine_version": engine_version(),
         "samples": samples,
     }
-    # Populate the unified store through the shared executor, then time
-    # disk-hit reloads through fresh store objects (no in-memory layer
-    # carry-over): per-kernel replays first, whole-run entries second.
+    # Populate the store through the shared executor, then time disk-hit
+    # reloads through fresh store objects (no in-memory carry-over).
     spec = RunSpec(name, config, options)
     Executor(ResultStore(cache_dir)).run(spec)
-    samples["warm"] = _sample(
-        lambda: simulate_network(
-            name, config, options, cache=ResultStore(cache_dir).kernels
-        ),
-        runs,
-    )
-    entry["warm_s"] = min(samples["warm"])
     samples["run_warm"] = _sample(
         lambda: Executor(ResultStore(cache_dir)).run(spec), runs
     )
@@ -131,7 +121,6 @@ def run_bench(
         if verbose:
             line = (f"{name:12s} cold={entry['cold_s']:8.3f}s"
                     f"±{entry['cold_std_s']:.3f} "
-                    f"warm={entry['warm_s']:7.4f}s "
                     f"run-warm={entry['run_warm_s']:7.4f}s "
                     f"kernels={entry['kernels']} "
                     f"unique={entry['unique_kernels']}")

@@ -9,8 +9,8 @@ single orchestration layer behind all of them:
   planning pass is parameterized by (network subset, base options).
 * :mod:`repro.runs.store` — :class:`ResultStore`, the one
   content-addressed on-disk store (``.repro-cache/`` or
-  ``$REPRO_CACHE_DIR``) holding both per-kernel results and serialized
-  whole-network runs.
+  ``$REPRO_CACHE_DIR``) holding one serialized whole-network run entry
+  per :class:`RunSpec`.
 * :mod:`repro.runs.planner` — collects every registered experiment's
   required runs and dedupes them into a minimal :class:`Plan`.
 * :mod:`repro.runs.executor` — :class:`Executor`, the cached

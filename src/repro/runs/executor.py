@@ -2,11 +2,11 @@
 
 :class:`Executor` is the cached read-through front door to
 :func:`repro.gpu.simulator.simulate_network`: memory -> stored network
-run -> fresh simulation (which itself reads/writes the store's kernel
-layer, so even a network-entry miss is cheap when sibling combos share
-kernels).  :meth:`Executor.execute` fans a plan's missing entries out
-over a process pool, merging results in submission order so the store's
-contents are deterministic regardless of worker completion order.
+run -> fresh simulation.  :meth:`Executor.execute` fans a plan's
+missing entries out over a process pool, merging results in submission
+order so the store's contents are deterministic regardless of worker
+completion order.  Only the executor, in the parent process, writes
+run entries.
 
 Both live and cached paths return :class:`StoredNetworkResult` decoded
 from the JSON payload, so every consumer sees byte-identical values
@@ -140,7 +140,7 @@ class Executor:
         if self.verbose:
             print(f"[run] simulating {spec.describe()}", flush=True)
         sim_start = tracer.wall()
-        payload = _simulate_spec(spec, self.store, self.l1_memo)
+        payload = _simulate_spec(spec, self.l1_memo)
         if tracer.enabled:
             tracer.span(
                 f"simulate {spec.network}", "run", WALL_S,
@@ -238,14 +238,10 @@ class Executor:
         payloads, so one failing combo costs one table cell, not the
         batch.  Returns ``key -> failure message``.
         """
-        cache_dir = None if self.store is None else self.store.cache_dir
         chunks = chunk_specs(pending, jobs)
         failed: dict[str, str] = {}
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            futures = [
-                pool.submit(_simulate_chunk_worker, chunk, cache_dir)
-                for chunk in chunks
-            ]
+            futures = [pool.submit(_simulate_chunk_worker, chunk) for chunk in chunks]
             # Canonical-order merge: collect in submission order so the
             # store contents are deterministic no matter which worker
             # finishes first.
@@ -311,7 +307,7 @@ def _failure_message(spec: RunSpec, exc: Exception) -> str:
     return f"{spec.describe()}: {type(exc).__name__}: {exc}"
 
 
-def _simulate_spec(spec: RunSpec, store: ResultStore | None, l1_memo: L1Memo) -> dict:
+def _simulate_spec(spec: RunSpec, l1_memo: L1Memo) -> dict:
     """One full network run, as a JSON-ready payload.
 
     GPU configs go through the cycle-level simulator; accelerator
@@ -324,26 +320,23 @@ def _simulate_spec(spec: RunSpec, store: ResultStore | None, l1_memo: L1Memo) ->
         return result_to_payload(live)
     from repro.gpu.simulator import simulate_network
 
-    cache = store.kernels if store is not None else None
-    live = simulate_network(
-        spec.network, spec.config, spec.options, cache=cache, l1_memo=l1_memo
-    )
+    live = simulate_network(spec.network, spec.config, spec.options, l1_memo=l1_memo)
     return result_to_payload(live)
 
 
-def _simulate_chunk_worker(specs: Sequence[RunSpec], cache_dir) -> list[tuple]:
+def _simulate_chunk_worker(specs: Sequence[RunSpec]) -> list[tuple]:
     """Simulate a chunk of specs, catching per-spec failures.
 
     Returns one ``(payload, None)`` or ``(None, "ErrType: message")``
     pair per spec, aligned with the input order.  The chunk's specs
-    share one :class:`~repro.gpu.simulator.L1Memo`.
+    share one :class:`~repro.gpu.simulator.L1Memo`.  The worker opens no
+    store: the parent writes every run entry.
     """
-    store = ResultStore(cache_dir) if cache_dir is not None else None
     l1_memo = L1Memo()
     outcomes: list[tuple] = []
     for spec in specs:
         try:
-            outcomes.append((_simulate_spec(spec, store, l1_memo), None))
+            outcomes.append((_simulate_spec(spec, l1_memo), None))
         except Exception as exc:
             outcomes.append((None, f"{type(exc).__name__}: {exc}"))
     return outcomes

@@ -5,8 +5,7 @@ frozen :class:`~repro.gpu.config.GpuConfig` it runs on, and the frozen
 :class:`~repro.gpu.config.SimOptions` knobs (which include the warp
 scheduler).  Because both component dataclasses are frozen, a spec is
 hashable and its content key is a pure function of its fields plus the
-engine version — the same invalidation contract as the per-kernel cache
-(DESIGN.md sections 8 and 9).
+engine version (DESIGN.md section 9).
 """
 
 from __future__ import annotations

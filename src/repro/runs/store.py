@@ -2,34 +2,23 @@
 
 One directory (default ``.repro-cache/``, overridable with the
 ``REPRO_CACHE_DIR`` environment variable) persists every deterministic
-simulation result the project produces, at two granularities:
+simulation result the project produces, at one granularity: a
+**run entry**, one JSON file per :class:`~repro.runs.spec.RunSpec` key
+under the ``runs/`` subdirectory, written by
+:class:`~repro.runs.executor.Executor`.  Each entry holds the whole
+network's per-kernel stats, occupancies and sampling factors.
 
-* **kernel entries** — one JSON file per (kernel signature, config,
-  options, engine) key in the store root, written by
-  :func:`repro.gpu.simulator.simulate_network` through
-  :class:`KernelResultCache` (unchanged format from the former
-  ``repro.perf.cache``, which now re-exports from here);
-* **network-run entries** — one JSON file per
-  :class:`~repro.runs.spec.RunSpec` key under the ``runs/``
-  subdirectory, written by :class:`~repro.runs.executor.Executor`.
-  These absorb the cache half of the former ``harness/runner.py``
-  (the separate ``.tango_cache/`` directory is gone; ``repro cache
-  clear`` removes any stale one left by older checkouts).
-
-Both layers share the invalidation contract: every field of the frozen
-config/options dataclasses plus the active engine's version string
-(:func:`repro.gpu.engine.engine_version` — resolved at call time, so
-``--engine``/``REPRO_ENGINE`` switches key correctly) folds into a
-SHA-256 key, so stale entries are never returned — they
-are simply never looked up again.  Corrupt, truncated or
-schema-mismatched files read as misses (and are rewritten on the next
-store), never as errors: the cache must not be able to make a
-simulation fail.
+The invalidation contract: every field of the frozen config/options
+dataclasses plus the engine's version string
+(:func:`repro.gpu.engine.engine_version`, read at call time) folds
+into a SHA-256 key, so stale entries are never returned — they are
+simply never looked up again.  Corrupt, truncated or schema-mismatched
+files read as misses (and are rewritten on the next store), never as
+errors: the store must not be able to make a simulation fail.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -50,127 +39,10 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Subdirectory of the store holding whole-network run entries.
 RUNS_SUBDIR = "runs"
 
-#: The pre-unification network-result cache directory; dead since the
-#: planner/executor refactor but possibly still on disk in old working
-#: trees.  ``cache stats`` reports it and ``cache clear`` removes it.
-LEGACY_TANGO_DIR = ".tango_cache"
-
 
 def default_cache_dir() -> Path:
     """The cache directory honouring ``REPRO_CACHE_DIR``."""
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
-
-
-def cache_key(signature: str, config: GpuConfig, options: SimOptions) -> str:
-    """SHA-256 over the full kernel key tuple, as a hex digest."""
-    payload = json.dumps(
-        {
-            "engine": engine_version(),
-            "signature": signature,
-            "config": asdict(config),
-            "options": asdict(options),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-@dataclass
-class CachedKernel:
-    """One deserialized kernel entry (everything a hit must restore)."""
-
-    stats: KernelStats
-    occupancy: Occupancy
-    sample_factor: float
-    block_factor: float
-
-
-class KernelResultCache:
-    """Content-addressed store of scaled per-kernel simulation results.
-
-    ``cache_dir=None`` resolves through ``REPRO_CACHE_DIR`` to the
-    default location.  The in-memory layer keeps raw payload dicts, not
-    live objects: every :meth:`get` deserializes afresh so callers own
-    their stats and cannot alias each other's counters.
-    """
-
-    def __init__(self, cache_dir: str | Path | None = None) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self._memory: dict[str, dict] = {}
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
-
-    def get(
-        self, signature: str, config: GpuConfig, options: SimOptions
-    ) -> CachedKernel | None:
-        """Look up one kernel result; None on miss or unreadable entry."""
-        key = cache_key(signature, config, options)
-        payload = self._memory.get(key)
-        if payload is None:
-            try:
-                payload = json.loads(self._path(key).read_text())
-            except (OSError, ValueError):
-                self.misses += 1
-                return None
-        entry = _decode(payload)
-        if entry is None:
-            # Corrupt/stale schema: forget it so a store can heal it.
-            self._memory.pop(key, None)
-            self.misses += 1
-            return None
-        self._memory[key] = payload
-        self.hits += 1
-        return entry
-
-    def put(
-        self,
-        signature: str,
-        config: GpuConfig,
-        options: SimOptions,
-        stats: KernelStats,
-        occupancy: Occupancy,
-        sample_factor: float,
-        block_factor: float,
-    ) -> None:
-        """Store one kernel result (best-effort; IO errors are ignored)."""
-        key = cache_key(signature, config, options)
-        payload = {
-            "engine": engine_version(),
-            "stats": stats.to_dict(),
-            "occupancy": asdict(occupancy),
-            "sample_factor": sample_factor,
-            "block_factor": block_factor,
-        }
-        self._memory[key] = payload
-        self.stores += 1
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            path = self._path(key)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload))
-            tmp.replace(path)
-        except OSError:
-            pass
-
-
-def _decode(payload: dict) -> CachedKernel | None:
-    """Payload dict -> CachedKernel, or None when malformed."""
-    try:
-        if payload["engine"] != engine_version():
-            return None
-        return CachedKernel(
-            stats=KernelStats.from_dict(payload["stats"]),
-            occupancy=Occupancy(**payload["occupancy"]),
-            sample_factor=payload["sample_factor"],
-            block_factor=payload["block_factor"],
-        )
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -316,19 +188,15 @@ def result_from_payload(
 
 
 class ResultStore:
-    """The unified on-disk store: kernel entries plus network runs.
+    """The on-disk store of whole-network run entries.
 
-    ``cache_dir=None`` resolves through ``REPRO_CACHE_DIR``.  The
-    kernel layer is exposed as :attr:`kernels` (a
-    :class:`KernelResultCache` on the same directory) so
-    ``simulate_network(..., cache=store.kernels)`` fills both layers of
-    one store.  Run-entry writes are atomic (tmp + replace), making
-    concurrent worker processes safe.
+    ``cache_dir=None`` resolves through ``REPRO_CACHE_DIR``.  Run-entry
+    writes are atomic (tmp + replace), making concurrent worker
+    processes safe.
     """
 
     def __init__(self, cache_dir: str | Path | None = None) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self.kernels = KernelResultCache(self.cache_dir)
         self.run_hits = 0
         self.run_misses = 0
         self.run_stores = 0
@@ -370,16 +238,15 @@ class ResultStore:
 # maintenance (backs ``repro cache stats|clear``)
 # ----------------------------------------------------------------------
 def cache_stats(cache_dir: str | Path | None = None) -> dict:
-    """Entry count / byte size summary of the whole unified store.
+    """Entry count / byte size summary of the store.
 
-    Covers both layers — kernel entries in the store root and network
-    runs under ``runs/`` — plus any stale pre-unification
-    ``.tango_cache/`` directory in the working directory.  A missing
-    directory reads as an empty cache, never an error.
+    Counts run entries under ``runs/`` and any ``*.json`` left in the
+    store root (older checkouts wrote per-kernel entries there; ``cache
+    clear`` removes them).  A missing directory reads as an empty
+    cache, never an error.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    kernel_entries = 0
-    run_entries = 0
+    entries = 0
     total_bytes = 0
     engines: dict[str, dict] = {}
     kernels_requested = 0
@@ -412,15 +279,11 @@ def cache_stats(cache_dir: str | Path | None = None) -> dict:
         return count
 
     if directory.is_dir():
-        kernel_entries = scan(sorted(directory.glob("*.json")))
-        run_entries = scan(sorted((directory / RUNS_SUBDIR).glob("*.json")))
-    legacy = Path(LEGACY_TANGO_DIR)
-    legacy_entries = len(list(legacy.glob("*.json"))) if legacy.is_dir() else 0
+        entries = scan(sorted(directory.glob("*.json")))
+        entries += scan(sorted((directory / RUNS_SUBDIR).glob("*.json")))
     return {
         "dir": str(directory),
-        "entries": kernel_entries + run_entries,
-        "kernel_entries": kernel_entries,
-        "run_entries": run_entries,
+        "entries": entries,
         "bytes": total_bytes,
         "engine_version": engine_version(),
         "by_engine": dict(sorted(engines.items())),
@@ -429,7 +292,6 @@ def cache_stats(cache_dir: str | Path | None = None) -> dict:
             "kernels_simulated": kernels_simulated,
             "replicated": kernels_requested - kernels_simulated,
         },
-        "legacy_tango_entries": legacy_entries,
     }
 
 
@@ -438,8 +300,8 @@ def clear_cache(
 ) -> int:
     """Delete store entries; returns the number removed.
 
-    With ``engine=None`` everything goes — both layers, stray ``.tmp``
-    files and any stale ``.tango_cache/``.  With an engine version
+    With ``engine=None`` everything goes — run entries, any ``*.json``
+    in the store root and stray ``.tmp`` files.  With an engine version
     string (see ``repro cache stats`` for the versions present) only
     entries written by that engine are pruned, which is how a store
     that has accumulated results from several engine revisions is
@@ -448,8 +310,7 @@ def clear_cache(
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     removed = 0
-    roots = [directory, directory / RUNS_SUBDIR, Path(LEGACY_TANGO_DIR)]
-    for root in roots:
+    for root in (directory, directory / RUNS_SUBDIR):
         if not root.is_dir():
             continue
         targets = list(root.glob("*.json"))
@@ -464,11 +325,10 @@ def clear_cache(
             except OSError:
                 pass
     if engine is None:
-        for root in (directory / RUNS_SUBDIR, Path(LEGACY_TANGO_DIR)):
-            try:
-                root.rmdir()
-            except OSError:
-                pass
+        try:
+            (directory / RUNS_SUBDIR).rmdir()
+        except OSError:
+            pass
     return removed
 
 

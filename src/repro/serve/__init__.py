@@ -14,8 +14,7 @@ The layer cake — the staged request pipeline is documented in
   heap with FIFO tie-breaking);
 * :mod:`repro.serve.profiles` — per-(network, device, batch) latency
   profiles derived from batch-1 :func:`simulate_network` runs (through
-  the persistent kernel-result cache), carrying the GPUWattch energy
-  split;
+  the persistent result store), carrying the GPUWattch energy split;
 * :mod:`repro.serve.devices` — fleet construction and per-device state;
 * :mod:`repro.serve.batching` — the FIFO dynamic batcher;
 * :mod:`repro.serve.schedulers` — the :class:`Scheduler` protocol and

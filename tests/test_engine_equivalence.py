@@ -1,12 +1,11 @@
-"""Optimized engines vs the frozen seed engine: bit-identical results.
+"""The optimized engine vs the frozen seed engine: bit-identical results.
 
-The issue loop in :mod:`repro.gpu.sm` (the ``vector`` engine, the
-default) is an optimization of the seed engine's per-cycle warp scan
+The issue loop in :mod:`repro.gpu.sm` (the engine every simulation
+runs) is an optimization of the seed engine's per-cycle warp scan
 (:mod:`repro.gpu.seed_engine`), not a remodel: every KernelStats field
 must match exactly — cycles, per-pipe issue counts, sampled stall
 attribution, cache/DRAM traffic and register-file activity.  These
-tests pin that contract per scheduler, and pin that persistent-cache
-hits reproduce fresh simulations exactly.
+tests pin that contract per scheduler, calling the seed oracle directly.
 
 The light-options cases run in tier-1; the full-fidelity sweep over all
 seven networks is ``slow`` (``pytest -m slow``).
@@ -14,31 +13,14 @@ seven networks is ``slow`` (``pytest -m slow``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
-from repro.gpu import engine as engine_registry
 from repro.gpu import seed_engine
 from repro.gpu.config import SimOptions
 from repro.gpu.simulator import simulate_network
-from repro.runs.store import KernelResultCache
 from repro.platforms import GK210, GP102
 
 from repro.core.suite import NETWORK_ORDER
-
-#: The optimized engine under test (the seed engine is the oracle);
-#: parametrized so every test id names the engine it checked.
-OPTIMIZED_ENGINES = ("vector",)
-
-
-@contextmanager
-def forced_engine(name: str):
-    engine_registry.set_engine(name)
-    try:
-        yield
-    finally:
-        engine_registry.set_engine(None)
 
 
 def _assert_identical(a, b) -> None:
@@ -48,60 +30,28 @@ def _assert_identical(a, b) -> None:
 
 
 class TestLightEquivalence:
-    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     @pytest.mark.parametrize("scheduler", ["gto", "lrr", "tlv"])
     @pytest.mark.parametrize("network", ["gru", "cifarnet"])
-    def test_matches_seed_engine(self, network, scheduler, engine):
+    def test_matches_seed_engine(self, network, scheduler):
         options = SimOptions(scheduler=scheduler).light()
         seed = seed_engine.simulate_network(network, GP102, options)
-        with forced_engine(engine):
-            result = simulate_network(network, GP102, options)
+        result = simulate_network(network, GP102, options)
         _assert_identical(seed, result)
 
-    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     @pytest.mark.parametrize("tlv_group", [1, 3])
-    def test_tlv_small_groups_match_seed_engine(self, tlv_group, engine):
+    def test_tlv_small_groups_match_seed_engine(self, tlv_group):
         # Small active groups churn TLV's promote/demote path and the
         # pending-list entry its list cursor skips after a promotion.
         options = SimOptions(scheduler="tlv", tlv_group=tlv_group).light()
         seed = seed_engine.simulate_network("cifarnet", GP102, options)
-        with forced_engine(engine):
-            result = simulate_network("cifarnet", GP102, options)
+        result = simulate_network("cifarnet", GP102, options)
         _assert_identical(seed, result)
 
-    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
-    def test_matches_seed_engine_gk210(self, engine):
+    def test_matches_seed_engine_gk210(self):
         options = SimOptions().light()
         seed = seed_engine.simulate_network("squeezenet", GK210, options)
-        with forced_engine(engine):
-            result = simulate_network("squeezenet", GK210, options)
+        result = simulate_network("squeezenet", GK210, options)
         _assert_identical(seed, result)
-
-
-class TestCacheEquivalence:
-    def test_warm_cache_identical_to_fresh(self, tmp_path):
-        options = SimOptions().light()
-        fresh = simulate_network("cifarnet", GP102, options)
-        populate = KernelResultCache(tmp_path)
-        simulate_network("cifarnet", GP102, options, cache=populate)
-        assert populate.stores > 0
-        warm = KernelResultCache(tmp_path)
-        result = simulate_network("cifarnet", GP102, options, cache=warm)
-        assert warm.hits == populate.stores and warm.misses == 0
-        _assert_identical(fresh, result)
-        for ka, kb in zip(fresh.kernels, result.kernels):
-            assert ka.occupancy == kb.occupancy
-            assert ka.sample_factor == kb.sample_factor
-            assert ka.block_factor == kb.block_factor
-
-    def test_memory_layer_hits_identical(self, tmp_path):
-        options = SimOptions().light()
-        cache = KernelResultCache(tmp_path)
-        first = simulate_network("gru", GP102, options, cache=cache)
-        second = simulate_network("gru", GP102, options, cache=cache)
-        _assert_identical(first, second)
-        # Hits hand out fresh stats objects, never aliases.
-        assert first.kernels[0].stats is not second.kernels[0].stats
 
 
 class TestDedupEquivalence:
@@ -118,16 +68,14 @@ class TestDedupEquivalence:
         assert off.unique_kernels == on.unique_kernels
         assert on.unique_kernels <= len(on.kernels)
 
-    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
-    def test_dedup_cross_engine_matches_seed(self, engine):
+    def test_dedup_cross_engine_matches_seed(self):
         # Dedup x engine: the seed oracle (which always dedups at the
         # signature level) must agree with the optimized engine both
         # with and without the dedup gate.
         options = SimOptions().light()
         seed = seed_engine.simulate_network("resnet", GP102, options)
-        with forced_engine(engine):
-            on = simulate_network("resnet", GP102, options, dedup=True)
-            off = simulate_network("resnet", GP102, options, dedup=False)
+        on = simulate_network("resnet", GP102, options, dedup=True)
+        off = simulate_network("resnet", GP102, options, dedup=False)
         _assert_identical(seed, on)
         _assert_identical(seed, off)
 
@@ -142,21 +90,17 @@ class TestDedupEquivalence:
 @pytest.mark.slow
 @pytest.mark.parametrize("network", NETWORK_ORDER)
 class TestFullFidelityEquivalence:
-    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
-    def test_matches_seed_engine(self, network, engine):
+    def test_matches_seed_engine(self, network):
         options = SimOptions()
         seed = seed_engine.simulate_network(network, GP102, options)
-        with forced_engine(engine):
-            result = simulate_network(network, GP102, options)
+        result = simulate_network(network, GP102, options)
         _assert_identical(seed, result)
 
-    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     @pytest.mark.parametrize("scheduler", ["lrr", "tlv"])
-    def test_matches_seed_engine_scheduler(self, network, scheduler, engine):
+    def test_matches_seed_engine_scheduler(self, network, scheduler):
         options = SimOptions(scheduler=scheduler)
         seed = seed_engine.simulate_network(network, GP102, options)
-        with forced_engine(engine):
-            result = simulate_network(network, GP102, options)
+        result = simulate_network(network, GP102, options)
         _assert_identical(seed, result)
 
     def test_dedup_on_matches_dedup_off_full(self, network):

@@ -11,13 +11,11 @@ simulating.  These tests pin:
 * per-kernel bit-identity of an executor-driven L1D sweep against
   ``dedup=False`` runs, with the reuse asserted to have fired (light
   tier-1 networks here, all seven under ``pytest -m slow``);
-* the cases that must never reuse: a wave that evicted, a bypassed L1,
-  ``dedup=False`` and the seed engine.
+* the cases that must never reuse: a wave that evicted, a bypassed L1
+  and ``dedup=False``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.suite import NETWORK_ORDER
-from repro.gpu import engine as engine_registry
 from repro.gpu import simulator
 from repro.gpu.config import SimOptions
 from repro.gpu.simulator import L1Memo, simulate_kernel, simulate_network
@@ -37,15 +34,6 @@ from repro.runs import Executor, RunSpec
 SIZES_KB = (0, 64, 128, 256)
 SCHEDULERS = ("gto", "lrr", "tlv")
 LIGHT = SimOptions().light()
-
-
-@contextmanager
-def forced_engine(name: str):
-    engine_registry.set_engine(name)
-    try:
-        yield
-    finally:
-        engine_registry.set_engine(None)
 
 
 def _stats(result) -> list[dict]:
@@ -219,11 +207,4 @@ class TestNoReuse:
         memo = L1Memo()
         simulate_network("cifarnet", _gp102(64), LIGHT, dedup=False, l1_memo=memo)
         simulate_network("cifarnet", _gp102(128), LIGHT, dedup=False, l1_memo=memo)
-        assert memo._runs == {} and memo.reused == 0
-
-    def test_seed_engine_never_reuses(self):
-        memo = L1Memo()
-        with forced_engine("seed"):
-            simulate_network("cifarnet", _gp102(64), LIGHT, l1_memo=memo)
-            simulate_network("cifarnet", _gp102(128), LIGHT, l1_memo=memo)
         assert memo._runs == {} and memo.reused == 0

@@ -24,7 +24,6 @@ from repro.runs import (
     build_plan,
     run_key,
 )
-from repro.runs import store as store_mod
 from repro.runs.registry import all_experiments
 from repro.runs.store import cache_stats, clear_cache, result_from_payload, result_to_payload
 
@@ -87,13 +86,6 @@ class TestRunKey:
 
         before = run_key("gru", GP102, LIGHT)
         monkeypatch.setattr(sm, "ENGINE_VERSION", "test-engine")
-        assert run_key("gru", GP102, LIGHT) != before
-
-    def test_key_differs_by_engine(self, monkeypatch):
-        from repro.gpu import engine
-
-        before = run_key("gru", GP102, LIGHT)
-        monkeypatch.setattr(engine, "_forced", "seed")
         assert run_key("gru", GP102, LIGHT) != before
 
 
@@ -213,14 +205,15 @@ class TestStore:
             assert ka.stats.to_dict() == kb.stats.to_dict()
             assert ka.kernel.signature() == kb.kernel.signature()
 
-    def test_single_store_holds_both_granularities(self, tmp_path):
+    def test_one_run_writes_one_entry(self, tmp_path):
         store = ResultStore(tmp_path)
-        Executor(store).run(RunSpec("gru", GP102, LIGHT))
+        spec = RunSpec("gru", GP102, LIGHT)
+        Executor(store).run(spec)
+        # One JSON file under runs/, nothing in the store root.
+        assert sorted(tmp_path.rglob("*.json")) == [store.run_path(spec)]
         stats = cache_stats(tmp_path)
-        assert stats["kernel_entries"] > 0
-        assert stats["run_entries"] == 1
-        assert stats["entries"] == stats["kernel_entries"] + stats["run_entries"]
-        assert stats["bytes"] > 0
+        assert stats["entries"] == 1
+        assert stats["bytes"] == store.run_path(spec).stat().st_size
 
     def test_stats_break_down_by_engine(self, tmp_path):
         Executor(ResultStore(tmp_path)).run(RunSpec("gru", GP102, LIGHT))
@@ -254,18 +247,18 @@ class TestStore:
         assert rerun.fresh == 0
 
     def test_clear_covers_runs_and_legacy_dir(self, tmp_path, monkeypatch):
-        # The pre-unification .tango_cache lived in the working directory.
+        # clear_cache empties its own store and touches nothing outside
+        # it: a .tango_cache in the working directory is not part of it.
         monkeypatch.chdir(tmp_path)
-        store = ResultStore(tmp_path)
-        Executor(store).run(RunSpec("gru", GP102, LIGHT))
-        legacy = tmp_path / store_mod.LEGACY_TANGO_DIR
-        legacy.mkdir()
-        (legacy / "stale.json").write_text("{}")
-        assert cache_stats(tmp_path)["legacy_tango_entries"] == 1
-        removed = clear_cache(tmp_path)
-        assert removed > 0
-        assert not legacy.exists()
-        assert cache_stats(tmp_path)["entries"] == 0
+        store_dir = tmp_path / "store"
+        Executor(ResultStore(store_dir)).run(RunSpec("gru", GP102, LIGHT))
+        legacy = tmp_path / ".tango_cache" / "x.json"
+        legacy.parent.mkdir()
+        legacy.write_text("{}")
+        assert clear_cache(store_dir) == 1
+        assert cache_stats(store_dir)["entries"] == 0
+        assert not (store_dir / "runs").exists()
+        assert legacy.exists()
 
     def test_corrupt_run_entry_reads_as_miss(self, tmp_path):
         spec = RunSpec("gru", GP102, LIGHT)

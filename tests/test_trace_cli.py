@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import main
 from repro.obs import validate_chrome_trace
+
+
+def _span_counts(payload: dict) -> Counter:
+    """Complete-span count per category of one Chrome-trace payload."""
+    return Counter(e.get("cat") for e in payload["traceEvents"] if e.get("ph") == "X")
 
 
 class TestTraceSimulate:
@@ -33,10 +39,15 @@ class TestTraceSimulate:
         first = json.loads(out.read_text())
         assert main(args) == 0
         second = json.loads(out.read_text())
-        # A warm store must not starve the trace of GPU spans.
+        # A warm store must not starve the trace of GPU spans: the
+        # second trace re-simulates every kernel, warps and stalls
+        # included.
         for payload in (first, second):
             assert any(e.get("cat") == "kernel"
                        for e in payload["traceEvents"])
+        before, after = _span_counts(first), _span_counts(second)
+        for cat in ("warp", "stall"):
+            assert after[cat] == before[cat] > 0, cat
 
     def test_no_warps_drops_stall_spans(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
@@ -111,6 +122,19 @@ class TestTraceServe:
         assert "batch" in cats and "request" in cats
         counters = payload["metrics"]["counters"]
         assert counters["serve.completed"]["value"] > 0
+
+    def test_refreshes_even_when_store_is_warm(self, capsys, tmp_path):
+        out = tmp_path / "trace.json"
+        args = ["trace", "serve", "--networks", "gru", "--devices", "gp102",
+                "--requests", "50", "--rps", "50", "--fidelity", "light",
+                "--cache-dir", str(tmp_path / "store"), "--output", str(out)]
+        assert main(args) == 0
+        first = _span_counts(json.loads(out.read_text()))
+        assert main(args) == 0
+        second = _span_counts(json.loads(out.read_text()))
+        # Profile builds re-simulate on a warm store, as trace simulate does.
+        for cat in ("warp", "stall"):
+            assert second[cat] == first[cat] > 0, cat
 
     def test_bad_scheduler_exits_2(self, capsys, tmp_path):
         assert main(["trace", "serve", "--scheduler", "nope",

@@ -5,8 +5,7 @@ The whole-network bit-identity gate lives in
 engine (:mod:`repro.gpu.sm`) is assembled from, each against the
 scalar path it replaces:
 
-* the engine registry (selection precedence, version strings, wave
-  classes, seed delegation);
+* the engine's identity: its version string and wave class;
 * the inlined LRR/TLV policies: the seed's scheduler generators are
   never driven;
 * :meth:`repro.memory.cache.Cache.bulk_warm` vs a zero-weight scalar
@@ -24,10 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import engine as engine_registry
-from repro.gpu import seed_engine
 from repro.gpu.config import SimOptions
 from repro.gpu.decode import K_GMEM, decode_program
+from repro.gpu.engine import engine_version, wave_class
 from repro.gpu.scheduler import LrrScheduler, TlvScheduler
 from repro.gpu.simulator import simulate_network
 from repro.gpu.sm import SmWave
@@ -38,56 +36,12 @@ from repro.memory.cache import Cache
 from repro.platforms import GP102
 
 
-@pytest.fixture
-def reset_engine():
-    yield
-    engine_registry.set_engine(None)
-
-
 class TestEngineRegistry:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(engine_registry.ENGINE_ENV, raising=False)
-        assert engine_registry.get_engine() == "vector"
-
-    def test_env_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(engine_registry.ENGINE_ENV, "seed")
-        assert engine_registry.get_engine() == "seed"
-
-    def test_set_engine_beats_env(self, monkeypatch, reset_engine):
-        monkeypatch.setenv(engine_registry.ENGINE_ENV, "seed")
-        engine_registry.set_engine("vector")
-        assert engine_registry.get_engine() == "vector"
-        engine_registry.set_engine(None)
-        assert engine_registry.get_engine() == "seed"
-
-    def test_invalid_names_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown engine"):
-            engine_registry.set_engine("warp-drive")
-        monkeypatch.setenv(engine_registry.ENGINE_ENV, "nonesuch")
-        with pytest.raises(ValueError, match="REPRO_ENGINE"):
-            engine_registry.get_engine()
-
     def test_version_strings(self):
-        assert engine_registry.engine_version("seed") == "seed-1"
-        assert engine_registry.engine_version("vector") == "fast-3"
+        assert engine_version() == "fast-3"
 
     def test_wave_classes(self):
-        assert engine_registry.wave_class("vector") is SmWave
-        with pytest.raises(ValueError):
-            engine_registry.wave_class("seed")
-        with pytest.raises(ValueError, match="unknown engine"):
-            engine_registry.wave_class("fast")
-
-    def test_seed_engine_delegation(self, reset_engine):
-        # With the seed engine forced, the simulator facade must hand
-        # the whole run to the frozen driver — identical numbers.
-        options = SimOptions().light()
-        oracle = seed_engine.simulate_network("gru", GP102, options)
-        engine_registry.set_engine("seed")
-        via_facade = simulate_network("gru", GP102, options)
-        assert len(oracle.kernels) == len(via_facade.kernels)
-        for ka, kb in zip(oracle.kernels, via_facade.kernels):
-            assert ka.stats.__dict__ == kb.stats.__dict__
+        assert wave_class() is SmWave
 
 
 class TestInlinedPolicies:
