@@ -18,7 +18,8 @@ This is a performance rewrite of the original loop (kept verbatim in
   Barrier-parked warps live in none of these; the releasing arrival
   re-inserts them.  Heap entries are never stale: a sleeping warp's wake
   can only be rewritten by its own issue or by a barrier release, and
-  parked warps are never pushed.
+  parked warps are never pushed.  Warps throttled on the MSHR sleep in
+  per-wake-cycle groups instead (see the retry lane below).
 * Instructions come pre-decoded (:mod:`repro.gpu.decode`) as flat
   tuples, so an issue attempt does no attribute/enum/dict lookups.
 * The sampled stall sweep reads per-reason counts of sleeping warps
@@ -41,6 +42,16 @@ This is a performance rewrite of the original loop (kept verbatim in
 * Fetch and scoreboard checks are skipped on replay (``Warp.chk``):
   programs are straight-line and a warp's scoreboard only changes on
   its own issues, so both checks are monotonic while the warp sleeps.
+* **MSHR retry lane.**  A throttled ``MemoryHierarchy.load`` changes
+  nothing a later step reads, and its answer follows from the MSHR
+  in-use count and how many of the access's lines the L1 lacks.  The
+  warp keeps the count ``load`` computed (a lower bound) and the L1's
+  membership version (``Cache.version``); while the version holds, a
+  retry that ``MshrFile.refuses`` settles as a throttle before dispatch
+  (an inconclusive bound is replaced once by the exact count), and any
+  other retry falls through to ``load``.  Warps sleeping on the MSHR
+  until the same cycle share one heap entry, ``(wake, -1)``, whose
+  group bitmask wakes them together.
 * **Transactions resolved once per wave.**  Before the loop runs,
   every active warp's ``pc -> coalesced transactions`` table is built
   through :func:`_gmem_txs` for each global-access pc
@@ -58,7 +69,8 @@ This is a performance rewrite of the original loop (kept verbatim in
 Warm fallbacks are counted, not silent: the
 ``engine.vector.warm_vector_sets`` and ``warm_scalar_sets`` counters in
 :mod:`repro.obs` record vectorized vs scalar-replay warm sets whenever
-tracing is enabled.
+tracing is enabled, and ``engine.mshr.settled`` and ``probed`` count the
+throttled retries the lane settled and the throttles ``load`` decided.
 """
 
 from __future__ import annotations
@@ -353,7 +365,11 @@ class SmWave:
         hier = self.hier
         hier_load = hier.load
         hier_store = hier.store
-        mshr_release = hier.mshr.next_release
+        mshr = hier.mshr
+        mshr_release = mshr.next_release
+        mshr_refuses = mshr.refuses
+        l1 = hier.l1
+        l1_count_missing = l1.count_missing
         lat_l1 = hier.lat_l1
         lat_shared = hier.lat_shared
         lat_const = hier.lat_const
@@ -380,6 +396,9 @@ class SmWave:
             if not w.done:
                 mask |= 1 << w.warp_id
         heap: list = []
+        # Warps asleep on the MSHR, by wake cycle: one heap entry
+        # (wake, -1) per group.
+        groups: dict = {}
         nxt: list = []
         imask = 0
         nreasons = len(_REASONS)
@@ -389,6 +408,7 @@ class SmWave:
         issued_acc = 0.0
         rf_reads = 0.0
         rf_writes = 0.0
+        settled = probed = 0
 
         cur = None
         parked = 0
@@ -664,6 +684,42 @@ class SmWave:
                             continue
                     # ---- issue ----------------------------------
                     if rec is None:
+                        txs = w.ctxs
+                        if txs is not False and w.mver == l1.version:
+                            # Retry lane (DESIGN.md section 13): while the
+                            # L1 membership holds, the kept missing count
+                            # is what `load` would count, so a retry the
+                            # admission rule refuses is settled here,
+                            # without dispatch or `load`.  A bound it
+                            # admits is replaced once by the exact count;
+                            # anything else falls through to `load`.
+                            refused = mshr_refuses(cycle, w.mbound)
+                            if not refused and not w.mexact:
+                                w.mbound = l1_count_missing(txs)
+                                w.mexact = True
+                                refused = mshr_refuses(cycle, w.mbound)
+                            if refused:
+                                settled += 1
+                                mshr.throttle_events += w.dec[pc][3]
+                                rel = mshr_release()
+                                wk = rel if rel is not None else cycle + 8
+                                if wk < nxtc:
+                                    wk = nxtc
+                                if wk == nxtc:
+                                    herd |= bit
+                                    if sampling:
+                                        sacc[_R_THROTTLE] += sample
+                                else:
+                                    bcnt[_R_THROTTLE] += 1
+                                    g = groups.get(wk, 0)
+                                    if not g:
+                                        heappush(heap, (wk, -1))
+                                    groups[wk] = g | bit
+                                    if trace:
+                                        tev.append(
+                                            (cycle, wk, _R_THROTTLE, w.warp_id)
+                                        )
+                                continue
                         rec = w.dec[pc]
                     kind, srcs, dst, weight, aux, pi, iv, rfr, fetch = rec
                     mem = False
@@ -679,7 +735,13 @@ class SmWave:
                             if aux.is_load:
                                 rc = hier_load(cycle, txs, weight)
                                 if rc is None:
+                                    # Keep what the refusal computed for
+                                    # the retry lane.
+                                    probed += 1
                                     w.ctxs = txs
+                                    w.mbound = m = hier.throttle_bound
+                                    w.mexact = m >= len(txs)
+                                    w.mver = l1.version
                                     w.chk = pc
                                     w.civ = iv
                                     w.cpi = pi
@@ -692,9 +754,11 @@ class SmWave:
                                         if sampling:
                                             sacc[_R_THROTTLE] += sample
                                     else:
-                                        w.bucket = _R_THROTTLE
                                         bcnt[_R_THROTTLE] += 1
-                                        heappush(heap, (wk, w.warp_id))
+                                        g = groups.get(wk, 0)
+                                        if not g:
+                                            heappush(heap, (wk, -1))
+                                        groups[wk] = g | bit
                                         if trace:
                                             tev.append(
                                                 (cycle, wk, _R_THROTTLE,
@@ -830,10 +894,16 @@ class SmWave:
                     mask |= 1 << o.warp_id
                 del nxt[:]
             while heap and heap[0][0] <= cycle:
-                o = warps[heappop(heap)[1]]
+                wk, wid = heappop(heap)
+                if wid < 0:
+                    g = groups.pop(wk)
+                    mask |= g
+                    bcnt[_R_THROTTLE] -= g.bit_count()
+                    continue
+                o = warps[wid]
                 bcnt[o.bucket] -= 1
                 o.bucket = -1
-                mask |= 1 << o.warp_id
+                mask |= 1 << wid
 
         hier.shared_accesses += shared_acc
         hier.const_accesses += const_acc
@@ -856,11 +926,14 @@ class SmWave:
         if trace:
             self._emit_trace(tracer, tev, park_at, done_at, cycle)
         if tracer.enabled:
+            metrics = tracer.metrics
             wf, ws = self._warm_obs
             if wf or ws:
-                metrics = tracer.metrics
                 metrics.counter("engine.vector.warm_vector_sets").inc(wf)
                 metrics.counter("engine.vector.warm_scalar_sets").inc(ws)
+            if settled or probed:
+                metrics.counter("engine.mshr.settled").inc(settled)
+                metrics.counter("engine.mshr.probed").inc(probed)
         return st
 
     # ------------------------------------------------------------------

@@ -53,6 +53,9 @@ class Warp:
         "bucket",
         "cm",
         "ctxs",
+        "mbound",
+        "mexact",
+        "mver",
         "ptx",
     )
 
@@ -89,9 +92,10 @@ class Warp:
         self.chk = -1
         self.civ = 0
         self.cpi = 0
-        #: Stall-reason index while asleep (-1 when awake/issued); the
-        #: sampled attribution sweep reads per-reason counts instead of
-        #: scanning warps.
+        #: Stall-reason index while asleep (-1 when awake/issued, and
+        #: while asleep on the MSHR: a throttle group's wake settles its
+        #: members' count); the sampled attribution sweep reads
+        #: per-reason counts instead of scanning warps.
         self.bucket = -1
         #: Pipe index whose issue-port mask (``SmWave.run``'s ``cmask``)
         #: this warp is registered in, -1 when unregistered.  Valid
@@ -104,6 +108,14 @@ class Warp:
         #: (warp, pc), so reuse is exact; cleared when the access
         #: completes.
         self.ctxs = False
+        #: What the last throttle of that access left for its retries
+        #: (``SmWave.run``'s retry lane): a lower bound on its L1-missing
+        #: lines, whether the bound is exact, and the L1 membership
+        #: version (``Cache.version``) it was counted at.  Read only
+        #: while ``ctxs`` is cached.
+        self.mbound = 0
+        self.mexact = False
+        self.mver = -1
         #: The warp's pc -> coalesced-transaction table, built once per
         #: wave and attached by ``SmWave.run`` (:mod:`repro.gpu.sm`).
         self.ptx = None

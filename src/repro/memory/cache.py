@@ -49,6 +49,11 @@ class Cache:
     and nothing is allocated (the paper's "No L1" configuration).
     ``evictions`` counts lines displaced by allocations (never sampled
     or weighted: it is a structural count, not a traffic statistic).
+    ``version`` is a membership version: every call that may allocate,
+    evict or flush a line bumps it, so while it is unchanged the set of
+    resident lines is too, and a :meth:`count_missing` answer for the
+    same addresses still holds.  A hit's LRU move changes no membership
+    and leaves it alone.
     """
 
     def __init__(
@@ -72,6 +77,7 @@ class Cache:
         self._line_shift = line_bytes.bit_length() - 1
         self.stats = CacheStats()
         self.evictions = 0
+        self.version = 0
 
     @staticmethod
     def holds(lines, size_bytes: int, line_bytes: int = 128, assoc: int = 8) -> bool:
@@ -130,6 +136,7 @@ class Cache:
                 del entry[next(iter(entry))]
                 self.evictions += 1
             entry[tag] = None
+            self.version += 1
         return False
 
     def access_many(self, addrs, weight: float = 1.0) -> list[int]:
@@ -172,6 +179,8 @@ class Cache:
                 entry[tag] = None
                 missed.append(addr)
         self.evictions += evictions
+        if missed:
+            self.version += 1
         return missed
 
     def bulk_warm(self, addrs) -> tuple[int, int]:
@@ -196,6 +205,7 @@ class Cache:
         n_sets = self.n_sets
         if not n_sets or len(addrs) == 0:
             return 0, 0
+        self.version += 1
         shift = self._index_shift
         if len(addrs) < 256:
             # Tiny replays: numpy's unique/lexsort fixed cost outruns
@@ -269,7 +279,7 @@ class Cache:
 
     def count_missing(self, addrs, limit: int | None = None) -> int:
         """How many of *addrs* are absent (bulk ``contains``; no stats,
-        no LRU update).
+        no LRU update).  The answer holds while :attr:`version` does.
 
         With *limit*, the scan stops as soon as the count exceeds it and
         returns the (partial, ``> limit``) count — for callers that only
@@ -301,6 +311,7 @@ class Cache:
         """Invalidate every line (stats are preserved)."""
         for entry in self._sets:
             entry.clear()
+        self.version += 1
 
     def resident_lines(self) -> int:
         """Number of lines currently allocated."""

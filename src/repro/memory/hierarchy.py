@@ -9,7 +9,7 @@ shared-memory accesses complete at a fixed scratchpad latency.
 
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Sequence
 
 from repro.memory.cache import Cache
 from repro.memory.dram import Dram
@@ -53,44 +53,39 @@ class MemoryHierarchy:
         self.store_transactions = 0.0
         self.shared_accesses = 0.0
         self.const_accesses = 0.0
+        #: The L1-missing line count the last throttled :meth:`load`
+        #: computed.  Its probe stops once the count exceeds the free
+        #: entries, so this is a lower bound on the missing lines (exact
+        #: when it equals the access's width).
+        self.throttle_bound = 0
 
     # ------------------------------------------------------------------
-    def load(self, now: int, tx_addrs: np.ndarray, weight: float) -> int | None:
+    def load(self, now: int, tx_addrs: Sequence[int], weight: float) -> int | None:
         """Service a coalesced global load; may throttle on MSHRs.
 
         Returns the cycle the load's data is ready, or ``None`` when the
         access was throttled (MSHRs exhausted) and must replay.  The
         MSHR check runs *before* any cache/DRAM side effects so a
         throttled access can replay without perturbing state or
-        double-counting statistics.
+        double-counting statistics: it only releases the fills due by
+        *now* and sets :attr:`throttle_bound`.
         """
         mshr = self.mshr
-        # Inline fast path for drain(): most loads arrive with nothing
-        # releasable, and the full call pays heap peeks plus the lazy
-        # ``_held`` update even then.  The guard replicates both — the
-        # ``_held`` refresh must happen on every path, since
-        # ``hold_until()`` defers it to the next drain.
-        releases = mshr._releases
-        if releases and releases[0][0] <= now:
-            mshr.drain(now)
-        else:
-            mshr._held = now < mshr._hold_until
-        l1 = self.l1
-        # Throttle when the file cannot take this access.  An access
-        # wider than the whole file (e.g. a 32-transaction FC load on a
-        # 16-entry file) proceeds once the file is empty — hardware
-        # splits it across MSHR waves — otherwise it could never issue.
-        # An empty file never throttles, so the miss pre-count (a
-        # non-mutating L1 probe per transaction) is skipped outright —
-        # as it is when the whole access fits the free entries even if
-        # every transaction missed; the limit makes a doomed probe of a
-        # wide access stop at the threshold instead of scanning it all.
-        in_use = len(mshr._inflight) + (1 if mshr._held else 0)
-        if in_use > 0:
-            free = mshr.capacity - in_use
-            if len(tx_addrs) > free and l1.count_missing(tx_addrs, free) > free:
+        # Throttle when the file cannot take this access
+        # (``MshrFile.refuses``).  An access that fits the free entries
+        # even if every line missed skips the miss count (a non-mutating
+        # L1 probe per transaction) outright; otherwise the count stops
+        # once it exceeds the free entries, so a doomed probe of a wide
+        # access stops at the threshold instead of scanning it all.  A
+        # count of every line was refused already.
+        width = len(tx_addrs)
+        if mshr.refuses(now, width):
+            missing = self.l1.count_missing(tx_addrs, mshr.capacity - mshr.in_use)
+            if missing == width or mshr.refuses(now, missing):
+                self.throttle_bound = missing
                 mshr.throttle_events += weight
                 return None
+        l1 = self.l1
         ready = now + self.lat_l1
         # Probe (and fill) the L1 for the whole transaction vector at
         # once, then walk only the misses through L2/DRAM.  The L1 never
@@ -120,7 +115,7 @@ class MemoryHierarchy:
         self.load_transactions += len(tx_addrs) * weight
         return ready
 
-    def store(self, now: int, tx_addrs: np.ndarray, weight: float) -> int:
+    def store(self, now: int, tx_addrs: Sequence[int], weight: float) -> int:
         """Service a global store (write-through, no L1 allocate).
 
         Returns the cycle the store retires (stores never throttle)."""

@@ -45,6 +45,28 @@ class MshrFile:
             else:
                 self._inflight[line] = count - 1
 
+    def refuses(self, now: int, missing: int) -> bool:
+        """The admission rule: must a global load at *now* whose L1 lacks
+        *missing* of its lines throttle and replay?
+
+        Releases every fill due by *now* first, and refreshes the hold of
+        a wide access (:meth:`hold_until` defers that to the next drain);
+        most calls find nothing due and skip :meth:`drain`'s heap walk.
+        Then the load is refused when the file is busy and cannot take
+        that many more entries: ``in_use > 0 and in_use + missing >
+        capacity``.  An empty file admits any access: one wider than the
+        whole file (e.g. a 32-transaction FC load on a 16-entry file) is
+        replayed in waves by the LSU, and would otherwise never issue.
+        Refusing a lower bound on *missing* refuses the exact count too.
+        """
+        releases = self._releases
+        if releases and releases[0][0] <= now:
+            self.drain(now)
+        else:
+            self._held = now < self._hold_until
+        in_use = len(self._inflight) + (1 if self._held else 0)
+        return in_use > 0 and in_use + missing > self.capacity
+
     def reserve(self, line: int, ready_cycle: int, now: int, weight: float = 1.0) -> bool:
         """Try to track a miss to *line*; False means throttled.
 

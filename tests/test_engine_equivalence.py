@@ -8,10 +8,13 @@ attribution, cache/DRAM traffic and register-file activity.  These
 tests pin that contract per scheduler, calling the seed oracle directly.
 
 The light-options cases run in tier-1; the full-fidelity sweep over all
-seven networks is ``slow`` (``pytest -m slow``).
+seven networks, and AlexNet with the L1 bypassed under every policy, are
+``slow`` (``pytest -m slow``).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -51,6 +54,22 @@ class TestLightEquivalence:
         options = SimOptions().light()
         seed = seed_engine.simulate_network("squeezenet", GK210, options)
         result = simulate_network("squeezenet", GK210, options)
+        _assert_identical(seed, result)
+
+    # MSHR-throttled retries: with the L1 bypassed nearly every load
+    # throttles, and its missing count never goes stale; with 4 MSHRs
+    # the L1 keeps filling between retries, so the engine's retry lane
+    # also falls through to a fresh probe.
+    @pytest.mark.parametrize("scheduler", ["gto", "lrr", "tlv"])
+    @pytest.mark.parametrize(
+        "config",
+        [replace(GP102, l1_size=0), replace(GP102, mshr_entries=4)],
+        ids=["l1-0kb", "mshr-4"],
+    )
+    def test_matches_seed_engine_mshr_throttled(self, config, scheduler):
+        options = SimOptions(scheduler=scheduler).light()
+        seed = seed_engine.simulate_network("squeezenet", config, options)
+        result = simulate_network("squeezenet", config, options)
         _assert_identical(seed, result)
 
 
@@ -108,3 +127,15 @@ class TestFullFidelityEquivalence:
         off = simulate_network(network, GP102, options, dedup=False)
         on = simulate_network(network, GP102, options, dedup=True)
         _assert_identical(off, on)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scheduler", ["gto", "lrr", "tlv"])
+def test_alexnet_bypassed_l1_matches_seed_engine(scheduler):
+    # AlexNet's FC layers throttle on the MSHRs tens of thousands of
+    # times per policy once the L1 is bypassed.
+    config = replace(GP102, l1_size=0)
+    options = SimOptions(scheduler=scheduler).light()
+    seed = seed_engine.simulate_network("alexnet", config, options)
+    result = simulate_network("alexnet", config, options)
+    _assert_identical(seed, result)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import Cache, Dram, MemoryHierarchy, MshrFile, coalesce
 from repro.memory.coalescer import TRANSACTION_BYTES
@@ -206,3 +210,139 @@ class TestHierarchy:
         ready2, missed2 = hier.const(ready, 1.0)
         assert not missed2
         assert ready2 - ready == hier.lat_const
+
+
+def _cache_state(cache: Cache) -> tuple:
+    """Tags in LRU order per set, counters and versions of *cache*."""
+    return (
+        [list(entry) for entry in cache._sets], vars(cache.stats).copy(),
+        cache.evictions, cache.version,
+    )
+
+
+def _hier_state(hier: MemoryHierarchy) -> tuple:
+    """Every structure and counter of *hier* but ``throttle_bound``."""
+    mshr = hier.mshr
+    return (
+        _cache_state(hier.l1), _cache_state(hier.l2), _cache_state(hier.const_cache),
+        dict(mshr._inflight), list(mshr._releases), mshr._hold_until, mshr._held,
+        mshr.throttle_events, vars(hier.dram).copy(), hier.load_transactions,
+        hier.store_transactions, hier.shared_accesses, hier.const_accesses,
+    )
+
+
+_LINE = st.integers(0, 47)
+_TXS = st.lists(_LINE, min_size=1, max_size=10, unique=True)
+
+
+@st.composite
+def _throttle_case(draw):
+    """A hierarchy history (fills, merges and wide-access holds) plus
+    one more load at a later cycle."""
+    return (
+        draw(st.sampled_from([0, 1024, 4096])),  # bypassed, 2 sets, 8 sets
+        draw(st.integers(1, 6)),  # MSHR entries
+        draw(st.lists(_LINE, max_size=16)),  # lines warmed into the L1
+        draw(st.lists(st.tuples(st.integers(0, 400), _TXS), max_size=10)),
+        draw(st.integers(0, 600)),
+        draw(st.lists(_LINE, min_size=1, max_size=12, unique=True)),
+    )
+
+
+class TestAdmissionRule:
+    """``MshrFile.refuses`` is the one throttle decision: ``load`` takes
+    it, and a throttled ``load`` only releases the fills already due."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_throttle_case())
+    def test_load_decides_by_the_rule(self, case):
+        l1_size, entries, warm, history, delay, probe = case
+        hier = MemoryHierarchy(l1_size=l1_size, l2_size=64 * 1024, mshr_entries=entries)
+        hier.l1.bulk_warm([line * 128 for line in warm])
+        now = 0
+        for step, lines in history:
+            now += step
+            hier.load(now, [line * 128 for line in lines], 1.0)
+        now += delay
+        txs = [line * 128 for line in probe]
+        exact = hier.l1.count_missing(txs)
+        # The reference: the state before the load, with the fills due
+        # by `now` released.
+        drained = copy.deepcopy(hier)
+        drained.mshr.drain(now)
+        in_use = drained.mshr.in_use
+        throttles = in_use > 0 and exact > entries - in_use
+
+        ready = hier.load(now, txs, 0.5)
+        assert (ready is None) == throttles
+        assert drained.mshr.refuses(now, exact) == throttles
+        if ready is None:
+            bound = hier.throttle_bound
+            assert bound <= exact
+            assert bound == exact or bound < len(txs)
+            assert drained.mshr.refuses(now, bound)
+            drained.mshr.throttle_events += 0.5
+            assert _hier_state(hier) == _hier_state(drained)
+
+    def test_bound_is_the_count_that_stopped_the_probe(self):
+        hier = MemoryHierarchy(l1_size=32 * 1024, l2_size=256 * 1024, mshr_entries=4)
+        hier.load(0, [0, 128, 256], 1.0)  # three entries in flight
+        assert hier.load(1, [4096 * i for i in range(1, 9)], 1.0) is None
+        assert hier.throttle_bound == 2  # one entry free: stops at 2 of 8
+        assert hier.mshr.refuses(1, hier.throttle_bound)
+
+    def test_empty_file_admits_any_width(self):
+        mshr = MshrFile(2)
+        assert not mshr.refuses(0, 100)
+        mshr.reserve(7, ready_cycle=10, now=0)
+        assert mshr.refuses(0, 2)
+        assert not mshr.refuses(0, 1)
+        assert not mshr.refuses(10, 100)  # the fill released at cycle 10
+
+
+_OPS = ("access", "store", "many", "warm", "flush", "probe")
+
+
+class TestCacheVersion:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0, 512, 1024, 4096]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(_OPS),
+                st.lists(st.integers(0, 63), max_size=12),
+                st.integers(1, 30),
+            ),
+            max_size=16,
+        ),
+    )
+    def test_version_changes_with_membership(self, size, ops):
+        cache = Cache("t", size, line_bytes=128, assoc=2)
+        for op, lines, repeat in ops:
+            addrs = [line * 128 for line in lines]
+            if op == "access":
+                steps = [lambda a=a: cache.access(a) for a in addrs]
+            elif op == "store":
+                steps = [lambda a=a: cache.access(a, allocate=False) for a in addrs]
+            elif op == "many":
+                steps = [lambda: cache.access_many(addrs)]
+            elif op == "warm":
+                # Repeats reach bulk_warm's vectorized path (>= 256).
+                steps = [lambda: cache.bulk_warm(addrs * repeat)]
+            elif op == "flush":
+                steps = [cache.flush]
+            else:
+                steps = [lambda: cache.count_missing(addrs, repeat)]
+            for step in steps:
+                tags, version = set(cache.resident_tags().tolist()), cache.version
+                step()
+                if set(cache.resident_tags().tolist()) != tags:
+                    assert cache.version != version
+
+    def test_hits_and_probes_keep_the_version(self):
+        cache = Cache("t", 4096)
+        cache.access(0)
+        version = cache.version
+        assert cache.access(0) and cache.access_many([0, 64]) == []
+        assert cache.count_missing([0, 128]) == 1 and not cache.contains(128)
+        assert cache.version == version

@@ -7,10 +7,12 @@ of trust behind the Figure 7 stall taxonomy.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.gpu.config import GpuConfig, SimOptions
-from repro.gpu.simulator import simulate_kernel
+from repro.gpu.simulator import simulate_kernel, simulate_network
 from repro.isa.dtypes import DType
 from repro.isa.instruction import Instruction, MemSpace
 from repro.isa.opcodes import Op
@@ -18,6 +20,9 @@ from repro.isa.program import Loop, Program
 from repro.isa.registers import RegisterAllocator
 from repro.kernels.addressing import AddrExpr, Term
 from repro.kernels.launch import KernelLaunch
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.obs import capture_trace
+from repro.platforms import GP102
 from repro.profiling.stall import StallReason
 
 
@@ -194,3 +199,37 @@ class TestScalingArithmetic:
         # Same kernel, 4x the grid: 4x the (scaled) issued instructions.
         big = simulate_kernel(_kernel(items, ra, grid=(8, 1, 1)), _gpu())
         assert big.stats.issued == pytest.approx(4 * small.stats.issued, rel=0.01)
+
+
+class TestMshrRetryLane:
+    """A throttled load is retried through ``load`` only when its answer
+    is not already settled (DESIGN.md section 13)."""
+
+    @pytest.fixture
+    def bypassed_run(self, monkeypatch):
+        # SqueezeNet with the L1 bypassed: nearly every load throttles,
+        # and its missing count never goes stale.
+        calls = {"load": 0, "ok": 0}
+        load = MemoryHierarchy.load
+
+        def counted(self, now, tx_addrs, weight):
+            ready = load(self, now, tx_addrs, weight)
+            calls["load"] += 1
+            calls["ok"] += ready is not None
+            return ready
+
+        monkeypatch.setattr(MemoryHierarchy, "load", counted)
+        with capture_trace(warps=False) as tracer:
+            simulate_network("squeezenet", replace(GP102, l1_size=0), SimOptions().light())
+        return calls, tracer.metrics
+
+    def test_fewer_than_two_load_calls_per_admitted_load(self, bypassed_run):
+        calls, _ = bypassed_run
+        assert calls["ok"] > 0
+        assert calls["load"] < 2 * calls["ok"]
+
+    def test_counters_split_settled_from_probed_throttles(self, bypassed_run):
+        calls, metrics = bypassed_run
+        assert metrics.counter("engine.mshr.settled").value > 0
+        # Every refusal `load` itself decided is a probe.
+        assert metrics.counter("engine.mshr.probed").value == calls["load"] - calls["ok"]
