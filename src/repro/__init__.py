@@ -12,7 +12,8 @@ Benchmark Suite for Various Accelerators* (Karki et al., ISPASS 2019):
 * :mod:`repro.gpu` / :mod:`repro.memory` / :mod:`repro.power` /
   :mod:`repro.platforms` -- the evaluation substrate: a GPGPU-Sim-style
   timing simulator, cache/MSHR/DRAM models, GPUWattch-style power, the
-  GK210 / TX1 / GP102 GPUs and the PynQ-Z1 FPGA;
+  GK210 / TX1 / GP102 GPUs, the PynQ-Z1 FPGA and the tile accelerators
+  :mod:`repro.mapping` targets;
 * :mod:`repro.profiling` / :mod:`repro.harness` -- nvprof-like profiling
   and one experiment module per paper table and figure;
 * :mod:`repro.campaign` -- declarative design-space-exploration
@@ -25,7 +26,7 @@ Entry points::
 
     from repro.core import TangoSuite          # run the benchmarks
     from repro.gpu import simulate_network     # characterize them
-    python -m repro.harness.suite              # reproduce the paper
+    python -m repro harness run                # reproduce the paper
     python -m repro trace simulate alexnet     # record a Perfetto trace
 
 The names below are the stable cross-layer surface: the

@@ -81,8 +81,7 @@ Subcommands:
 Shared flags behave identically everywhere they appear: ``--json``
 (machine-readable stdout), ``--jobs N`` (worker processes),
 ``--cache-dir DIR`` / ``--no-cache`` (the unified result store) and
-``--fidelity default|light`` (simulation sampling; ``--light`` is the
-legacy spelling).
+``--fidelity default|light`` (simulation sampling).
 
 Also invocable as ``python -m repro ...``.
 """
@@ -140,20 +139,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _light_requested(args: argparse.Namespace) -> bool:
-    """Either spelling of the fast sampling mode: ``--fidelity light``
-    or the legacy ``--light``."""
-    return (
-        getattr(args, "light", False)
-        or getattr(args, "fidelity", "default") == "light"
-    )
-
-
 def _sim_options(args: argparse.Namespace):
     from repro.gpu.config import SimOptions
 
     options = SimOptions(scheduler=args.scheduler)
-    if _light_requested(args):
+    if args.fidelity == "light":
         options = options.light()
     return options
 
@@ -367,7 +357,7 @@ def _serve_prepare(
     if scenario is not None and scenario.autoscale is not None:
         platforms.append(make_config(scenario.autoscale.template))
     options = SimOptions(scheduler=args.sim_scheduler)
-    if _light_requested(args):
+    if args.fidelity == "light":
         options = options.light()
     profiles, build_s, detail = _serve_profiles(args, names, platforms, options, refresh)
     if not quiet and not args.json:
@@ -562,7 +552,7 @@ def _cmd_trace_simulate(args: argparse.Namespace) -> int:
         "platform": configs[0].name,
         "l1_kb": args.l1_kb,
         "scheduler": args.scheduler,
-        "fidelity": "light" if _light_requested(args) else "default",
+        "fidelity": args.fidelity,
     })
     _print_trace_outcome(args, tracer, payload)
     return 0
@@ -805,7 +795,7 @@ def _cmd_networks(args: argparse.Namespace) -> int:
 
 
 def _cmd_platforms(args: argparse.Namespace) -> int:
-    from repro.platforms import list_platforms, platform
+    from repro.platforms import list_platforms, make_config
 
     try:
         names = list_platforms(kind=args.kind)
@@ -814,19 +804,26 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
         return 2
     rows = []
     for name in names:
-        entry = platform(name)
-        memory = entry.memory_budget()
-        compute = entry.compute_budget()
+        config = make_config(name)
+        # A GPU tile is one SM: its L1D plus shared memory, one MAC per
+        # CUDA core per cycle.
+        if config.kind == "gpu":
+            tile_bytes = config.l1_size + config.shared_mem_per_sm
+            macs_per_tile = config.cores_per_sm
+        else:
+            tile_bytes = config.tile_memory_bytes
+            macs_per_tile = config.mac_rows * config.mac_cols
+        macs_per_cycle = macs_per_tile * config.num_sms
         rows.append({
             "name": name,
-            "display_name": entry.name,
-            "kind": entry.kind,
-            "tiles": memory.tiles,
-            "tile_kb": memory.per_tile_bytes / 1024,
-            "macs_per_cycle": compute.peak_macs_per_cycle,
-            "clock_ghz": compute.clock_ghz,
-            "peak_gmacs": compute.peak_gmacs_per_s,
-            "dram_gb_per_s": memory.dram_gb_per_s,
+            "display_name": config.name,
+            "kind": config.kind,
+            "tiles": config.num_sms,
+            "tile_kb": tile_bytes / 1024,
+            "macs_per_cycle": macs_per_cycle,
+            "clock_ghz": config.clock_ghz,
+            "peak_gmacs": macs_per_cycle * config.clock_ghz,
+            "dram_gb_per_s": config.dram_gb_per_s,
         })
     if args.json:
         import json
@@ -846,7 +843,6 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     from repro.mapping import MappingError, map_network
     from repro.platforms import make_config
-    from repro.platforms.accel import AcceleratorConfig
 
     err = _check_networks([args.network])
     if err is not None:
@@ -856,7 +852,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if not isinstance(config, AcceleratorConfig):
+    if config.kind == "gpu":
         print(f"error: {args.platform} is a GPU platform; the tiling "
               f"mapper targets fpga/npu platforms (see 'repro platforms')",
               file=sys.stderr)
@@ -916,8 +912,6 @@ def _add_fidelity_args(sub_parser: argparse.ArgumentParser) -> None:
                             help="simulation sampling fidelity: 'light' "
                                  "is fast for smoke tests but not "
                                  "comparable to default runs")
-    sub_parser.add_argument("--light", action="store_true",
-                            help="alias for --fidelity light")
 
 
 def _add_serve_args(sub_parser: argparse.ArgumentParser) -> None:

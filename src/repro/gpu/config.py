@@ -43,6 +43,12 @@ class GpuConfig:
     launch_overhead_cycles: int = 3500
 
     @property
+    def kind(self) -> str:
+        """Device class, as ``AcceleratorConfig.kind`` (a property, so
+        ``asdict`` and every run key leave it out)."""
+        return "gpu"
+
+    @property
     def total_cuda_cores(self) -> int:
         """Total CUDA cores (Table II's ``# CUDA cores``)."""
         return self.num_sms * self.cores_per_sm

@@ -63,11 +63,29 @@ _GUARD_EXPANDED = expand_program(_GUARD_PROGRAM)
 _GUARD_DECODED = decode_program(_GUARD_EXPANDED)
 
 
+@dataclass(frozen=True)
+class KernelInfo:
+    """The identity of a kernel that has no live launch: a run read back
+    from the store, or a layer the tiling mapper timed.  It carries the
+    :class:`~repro.kernels.launch.KernelLaunch` fields results are read
+    through."""
+
+    name: str
+    node_name: str
+    category: str
+    sig: str
+    total_blocks: int
+
+    def signature(self) -> str:
+        """Launch signature (a method, as on ``KernelLaunch``)."""
+        return self.sig
+
+
 @dataclass
 class KernelResult:
     """Scaled simulation outcome of one kernel launch."""
 
-    kernel: KernelLaunch
+    kernel: KernelLaunch | KernelInfo
     stats: KernelStats
     occupancy: Occupancy
     #: dynamic / simulated instruction ratio (per-warp sampling factor).
@@ -88,15 +106,21 @@ class KernelResult:
 
 @dataclass
 class NetworkResult:
-    """Simulation outcome of a whole network's kernel sequence."""
+    """Outcome of a whole network's kernel sequence, simulated, mapped
+    (``config`` is then an ``AcceleratorConfig``) or read back from the
+    result store."""
 
     network: str
     config: GpuConfig
     options: SimOptions
     kernels: list[KernelResult] = field(default_factory=list)
-    #: Distinct canonical signatures among the launches (dedup collapses
-    #: the launch list to this many simulations on a cold run).
-    unique_kernels: int = 0
+
+    @property
+    def unique_kernels(self) -> int:
+        """Distinct canonical signatures among the launches (dedup
+        collapses the launch list to this many simulations on a cold
+        run)."""
+        return len({k.kernel.signature() for k in self.kernels})
 
     @property
     def total_cycles(self) -> float:
@@ -391,13 +415,9 @@ def simulate_network(
     wave_cache: dict | None = {} if dedup else None
     if not dedup:
         l1_memo = None
-    seen: set[str] = set()
-    requested = 0
     offset = 0.0  # back-to-back network timeline position, in cycles
     for kernel in compiled_network(name):
-        requested += 1
         signature = kernel.signature()
-        seen.add(signature)
         hit = local.get(signature) if dedup else None
         if hit is None:
             reused = l1_memo.reused if l1_memo is not None else 0
@@ -425,11 +445,11 @@ def simulate_network(
             )
             tracer.metrics.counter(f"gpu.kernel_{source}").inc()
             offset += hit.stats.cycles
-    result.unique_kernels = len(seen)
     if tracer.enabled:
+        requested, unique = len(result.kernels), result.unique_kernels
         tracer.metrics.counter("analysis.dedup.requested").inc(requested)
-        tracer.metrics.counter("analysis.dedup.unique").inc(len(seen))
-        tracer.metrics.counter("analysis.dedup.replicated").inc(requested - len(seen))
+        tracer.metrics.counter("analysis.dedup.unique").inc(unique)
+        tracer.metrics.counter("analysis.dedup.replicated").inc(requested - unique)
     return result
 
 

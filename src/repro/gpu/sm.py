@@ -700,9 +700,7 @@ class SmWave:
                                 refused = mshr_refuses(cycle, w.mbound)
                             if refused:
                                 settled += 1
-                                mshr.throttle_events += w.dec[pc][3]
-                                rel = mshr_release()
-                                wk = rel if rel is not None else cycle + 8
+                                wk = mshr_release()
                                 if wk < nxtc:
                                     wk = nxtc
                                 if wk == nxtc:
@@ -745,8 +743,7 @@ class SmWave:
                                     w.chk = pc
                                     w.civ = iv
                                     w.cpi = pi
-                                    rel = mshr_release()
-                                    wk = rel if rel is not None else cycle + 8
+                                    wk = mshr_release()
                                     if wk < nxtc:
                                         wk = nxtc
                                     if wk == nxtc:

@@ -37,7 +37,6 @@ class Warp:
         "pc",
         "reg_ready",
         "reg_kind",
-        "wake",
         "done",
         "at_barrier",
         "lane_syms",
@@ -78,7 +77,6 @@ class Warp:
         self.pc = 0
         self.reg_ready = [0] * dprog.nregs
         self.reg_kind = [0] * dprog.nregs
-        self.wake = 0
         self.done = dprog.n == 0
         self.at_barrier = False
         self.width = WARP_SIZE
@@ -142,41 +140,3 @@ class Warp:
             "lin_bid": (cz * gy + cy) * gx + cx,
             "one": 1,
         }
-
-    def current(self):
-        """The decoded tuple at the program counter (None when done)."""
-        if self.pc >= self.n:
-            return None
-        return self.dec[self.pc]
-
-    def set_reg(self, index: int, ready_cycle: int, kind: int) -> None:
-        """Scoreboard update for a produced register."""
-        self.reg_ready[index] = ready_cycle
-        self.reg_kind[index] = kind
-
-    def src_block(self, now: int, srcs) -> tuple[int, int] | None:
-        """Latest unready source: (ready_cycle, producer kind) or None.
-
-        First-maximum-wins tie semantics (strict ``>``), as the seed
-        engine's dict-based scoreboard implemented it.
-        """
-        worst_cycle = now
-        worst_kind = KIND_ALU
-        blocked = False
-        ready = self.reg_ready
-        kinds = self.reg_kind
-        for index in srcs:
-            cycle = ready[index]
-            if cycle > worst_cycle:
-                worst_cycle = cycle
-                worst_kind = kinds[index]
-                blocked = True
-        if not blocked:
-            return None
-        return worst_cycle, worst_kind
-
-    def advance(self) -> None:
-        """Move past the current instruction; mark done at the end."""
-        self.pc += 1
-        if self.pc >= self.n:
-            self.done = True

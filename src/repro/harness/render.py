@@ -4,7 +4,7 @@ The paper's figures are bar charts; this module renders the harness's
 series as unicode bar charts so a full reproduction can be *seen* in a
 terminal without a plotting stack:
 
-    python -m repro.harness.suite fig02 --chart
+    python -m repro harness run fig02 --chart
 """
 
 from __future__ import annotations

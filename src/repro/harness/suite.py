@@ -1,24 +1,21 @@
 """Run the whole experiment harness: every table and figure.
 
-``python -m repro.harness.suite`` regenerates all 21 experiments (4
-tables + 16 figures) through the declarative plan -> execute ->
-aggregate pipeline: the planner collects every registered experiment's
-required runs and dedupes them into a minimal matrix, the executor
-materializes the matrix against the unified result store
-(``.repro-cache/`` or ``$REPRO_CACHE_DIR``), and each experiment then
-aggregates its series and checks from pure cache hits.  A re-run
-performs zero simulations.
+:func:`run_all` regenerates the selected (default: all 21) experiments
+(4 tables, 16 figures and the heterogeneous-accelerator extension)
+through the declarative plan -> execute -> aggregate pipeline: the
+planner collects every registered experiment's required runs and
+dedupes them into a minimal matrix, the executor materializes the
+matrix against the unified result store (``.repro-cache/`` or
+``$REPRO_CACHE_DIR``), and each experiment then aggregates its series
+and checks from pure cache hits.  A re-run performs zero simulations.
 
-Options: ``--chart`` renders each figure's series as terminal bar
-charts; ``--json DIR`` writes each experiment's data as JSON;
-``--jobs N`` fans fresh simulations over N worker processes.
+The command line is ``repro harness run [exp-ids...]`` (:mod:`repro.cli`),
+which also renders charts and writes JSON through this module.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -29,10 +26,6 @@ from repro.runs.registry import all_experiments
 #: Sentinel: ``run_all(cache_dir=DEFAULT_STORE)`` opens the unified
 #: store at its default location ($REPRO_CACHE_DIR or .repro-cache).
 DEFAULT_STORE = object()
-
-#: Every experiment in paper order: id -> Experiment spec (legacy name,
-#: kept for callers that enumerate the suite).
-EXPERIMENTS = all_experiments()
 
 
 def run_all(
@@ -81,43 +74,6 @@ def run_all(
     return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("experiments", nargs="*", help="experiment ids (default: all)")
-    parser.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-    parser.add_argument("--chart", action="store_true",
-                        help="render series as terminal bar charts")
-    parser.add_argument("--json", metavar="DIR", default=None,
-                        help="write each experiment's series/checks as JSON under DIR")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="execute the planned run matrix with N worker "
-                             "processes before aggregating")
-    args = parser.parse_args(argv)
-    results = run_all(
-        ids=args.experiments or None,
-        cache_dir=None if args.no_cache else DEFAULT_STORE,
-        jobs=args.jobs,
-    )
-    if args.chart:
-        from repro.harness.render import render_experiment
-
-        for result in results:
-            chart = render_experiment(result)
-            if chart:
-                print("\n" + chart)
-    if args.json:
-        write_json(results, args.json)
-    failed = [
-        f"{r.exp_id}: {c.claim}" for r in results for c in r.checks if not c.passed
-    ]
-    print(f"\n{len(results)} experiments, "
-          f"{sum(len(r.checks) for r in results)} checks, {len(failed)} failed")
-    for line in failed:
-        print(f"  FAIL {line}")
-    return 1 if failed else 0
-
-
 def result_payload(result: ExperimentResult) -> dict:
     """One experiment's JSON form (shared by file and stdout output)."""
     return {
@@ -144,7 +100,3 @@ def write_json(
         )
     if verbose:
         print(f"wrote {len(results)} JSON files under {out}/")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

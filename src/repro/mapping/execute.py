@@ -8,10 +8,11 @@ per-tile share of DRAM bandwidth.  A per-layer launch overhead models
 control/configuration cost (code loading on the PynQ, NoC setup on the
 SpiNNaker2 mesh).
 
-The result is a :class:`~repro.runs.store.StoredNetworkResult`: the
-same duck type the GPU simulator's runs store produces, so the serving
-latency profiles, power meters, campaign QoR rows and report renderers
-consume accelerator runs unchanged.  The stats are populated so that
+The result is a :class:`~repro.gpu.simulator.NetworkResult` of
+:class:`~repro.gpu.simulator.KernelResult` entries, the type a GPU
+simulation yields, so the serving latency profiles, power meters,
+campaign QoR rows and report renderers consume accelerator runs
+unchanged.  The stats are populated so that
 :func:`repro.serve.profiles.profile_from_result` reproduces
 ``total_time_ms`` exactly at batch 1 (``wave_cycles`` x wave count plus
 launch overhead), mirroring the GPU contract.
@@ -22,25 +23,19 @@ from __future__ import annotations
 from repro.core.graph import NetworkGraph
 from repro.gpu.config import SimOptions
 from repro.gpu.occupancy import Occupancy
+from repro.gpu.simulator import KernelInfo, KernelResult, NetworkResult
 from repro.mapping.mapper import map_network
 from repro.mapping.plan import LayerPlan
 from repro.platforms.accel import AcceleratorConfig
 from repro.profiling.stats import KernelStats
-from repro.runs.store import (
-    StoredKernelInfo,
-    StoredKernelResult,
-    StoredNetworkResult,
-)
 
 
 def _ceil(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def layer_kernel(
-    plan: LayerPlan, config: AcceleratorConfig
-) -> StoredKernelResult:
-    """Time one layer plan on *config* as a stored kernel result."""
+def layer_kernel(plan: LayerPlan, config: AcceleratorConfig) -> KernelResult:
+    """Time one layer plan on *config* as a kernel result."""
     n_tiles = plan.n_tiles
     concurrency = min(n_tiles, config.tiles)
     # concurrent tiles share DRAM bandwidth equally
@@ -63,7 +58,7 @@ def layer_kernel(
     stats.dram_bytes = float(plan.total_transfer_bytes)
     stats.active_sms = concurrency
 
-    info = StoredKernelInfo(
+    info = KernelInfo(
         name=f"{plan.strategy}:{plan.node_name}",
         node_name=plan.node_name,
         category=plan.category,
@@ -77,7 +72,7 @@ def layer_kernel(
         limiter="tile-memory",
         allocated_register_bytes=0,
     )
-    return StoredKernelResult(
+    return KernelResult(
         kernel=info,
         stats=stats,
         occupancy=occupancy,
@@ -90,24 +85,20 @@ def run_mapped_network(
     network: str | NetworkGraph,
     config: AcceleratorConfig,
     options: SimOptions | None = None,
-) -> StoredNetworkResult:
+) -> NetworkResult:
     """Map *network* onto *config* and time the tiled plan.
 
     ``options`` only rides along for result bookkeeping (the mapper is
     exact, not sampled); pass-through layers contribute no kernels.
     """
     plan = map_network(network, config)
-    result = StoredNetworkResult(
+    return NetworkResult(
         network=plan.network,
         config=config,
         options=options if options is not None else SimOptions(),
+        kernels=[
+            layer_kernel(layer_plan, config)
+            for layer_plan in plan.layers
+            if layer_plan.tiles
+        ],
     )
-    signatures: set[str] = set()
-    for layer_plan in plan.layers:
-        if not layer_plan.tiles:
-            continue
-        kernel = layer_kernel(layer_plan, config)
-        signatures.add(kernel.kernel.sig)
-        result.kernels.append(kernel)
-    result.unique_kernels = len(signatures)
-    return result

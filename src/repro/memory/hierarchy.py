@@ -83,7 +83,6 @@ class MemoryHierarchy:
             missing = self.l1.count_missing(tx_addrs, mshr.capacity - mshr.in_use)
             if missing == width or mshr.refuses(now, missing):
                 self.throttle_bound = missing
-                mshr.throttle_events += weight
                 return None
         l1 = self.l1
         ready = now + self.lat_l1
@@ -102,7 +101,7 @@ class MemoryHierarchy:
                     completion = now + self.lat_l2
                 else:
                     completion = self.dram.service(now, LINE_BYTES, weight)
-                mshr.reserve(addr >> 7, completion, now, weight)  # // LINE_BYTES
+                mshr.reserve(addr >> 7, completion, now)  # // LINE_BYTES
                 if completion > ready:
                     ready = completion
         misses = len(missed)

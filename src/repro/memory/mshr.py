@@ -24,7 +24,6 @@ class MshrFile:
         self._releases: list[tuple[int, int]] = []  # (ready_cycle, line) heap
         self._hold_until = 0
         self._held = False
-        self.throttle_events = 0.0
 
     def hold_until(self, cycle: int) -> None:
         """Keep one entry logically busy until *cycle*.
@@ -67,7 +66,7 @@ class MshrFile:
         in_use = len(self._inflight) + (1 if self._held else 0)
         return in_use > 0 and in_use + missing > self.capacity
 
-    def reserve(self, line: int, ready_cycle: int, now: int, weight: float = 1.0) -> bool:
+    def reserve(self, line: int, ready_cycle: int, now: int) -> bool:
         """Try to track a miss to *line*; False means throttled.
 
         A miss to a line already in flight merges into its entry (if the
@@ -76,13 +75,11 @@ class MshrFile:
         self.drain(now)
         if line in self._inflight:
             if self._inflight[line] >= self.max_merges:
-                self.throttle_events += weight
                 return False
             self._inflight[line] += 1
             heapq.heappush(self._releases, (ready_cycle, line))
             return True
         if len(self._inflight) >= self.capacity:
-            self.throttle_events += weight
             return False
         self._inflight[line] = 1
         heapq.heappush(self._releases, (ready_cycle, line))

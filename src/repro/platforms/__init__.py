@@ -7,10 +7,11 @@ the OpenCL energy comparison (Figure 6), and the tile-based accelerator
 platforms (ZCU102 FPGA-class, S2NPU SpiNNaker2-class) the
 :mod:`repro.mapping` compiler targets.
 
-Every registered platform implements the capability-based
-:class:`~repro.platforms.base.Platform` protocol; resolve names with
-:func:`make_config`/:func:`platform` and enumerate with
-:func:`list_platforms` (optionally by ``kind``).
+A platform is its frozen execution config: a
+:class:`~repro.gpu.config.GpuConfig` or an :class:`AcceleratorConfig`,
+each with a ``name`` and a ``kind`` (see :data:`KINDS`).  Resolve names
+with :func:`make_config` and enumerate with :func:`list_platforms`
+(optionally by ``kind``).
 """
 
 from repro.platforms.accel import (
@@ -18,46 +19,32 @@ from repro.platforms.accel import (
     S2NPU,
     ZCU102,
     AcceleratorConfig,
-    AcceleratorPlatform,
-)
-from repro.platforms.base import (
-    KINDS,
-    ComputeBudget,
-    GpuPlatform,
-    MemoryBudget,
-    Platform,
 )
 from repro.platforms.pynq import PYNQ_Z1, PynqZ1Model
 from repro.platforms.registry import (
     GK210,
     GP102,
+    KINDS,
     TX1,
     list_platforms,
     make_config,
-    platform,
     register_platform,
     unregister_platform,
 )
 
 __all__ = [
     "AcceleratorConfig",
-    "AcceleratorPlatform",
-    "ComputeBudget",
     "GK210",
     "GP102",
-    "GpuPlatform",
     "KINDS",
-    "MemoryBudget",
     "PYNQ_Z1",
     "PYNQ_Z1_MAPPED",
-    "Platform",
     "PynqZ1Model",
     "S2NPU",
     "TX1",
     "ZCU102",
     "list_platforms",
     "make_config",
-    "platform",
     "register_platform",
     "unregister_platform",
 ]

@@ -18,17 +18,16 @@ these configs model the two non-GPU classes the mapper
 
 An :class:`AcceleratorConfig` plays the role :class:`GpuConfig` plays
 for GPUs: the frozen value a :class:`~repro.runs.spec.RunSpec` carries,
-hashed field-by-field into the content-addressed store key.  The
-``l1_size``/``num_sms`` properties keep the config duck-compatible with
-the spec/profile plumbing that predates heterogeneous platforms
-(per-tile memory is the accelerator's "L1"; a tile is its "SM").
+hashed field-by-field into the content-addressed store key, and the
+value the platform registry holds.  The ``l1_size``/``num_sms``
+properties and ``with_l1`` keep the config duck-compatible with the
+GPU-shaped spec/profile plumbing (per-tile memory is the accelerator's
+"L1"; a tile is its "SM").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-from repro.platforms.base import ComputeBudget, MemoryBudget
 
 KB = 1024
 
@@ -80,54 +79,9 @@ class AcceleratorConfig:
         """Tile count (what wave math divides blocks across)."""
         return self.tiles
 
-    @property
-    def macs_per_cycle_per_tile(self) -> int:
-        return self.mac_rows * self.mac_cols
-
     def with_l1(self, nbytes: int) -> "AcceleratorConfig":
         """A copy with a different per-tile memory size."""
         return replace(self, tile_memory_bytes=nbytes)
-
-
-@dataclass(frozen=True)
-class AcceleratorPlatform:
-    """An :class:`AcceleratorConfig` adapted onto the Platform protocol."""
-
-    config: AcceleratorConfig
-
-    @property
-    def name(self) -> str:
-        return self.config.name
-
-    @property
-    def kind(self) -> str:
-        return self.config.kind
-
-    def memory_budget(self) -> MemoryBudget:
-        return MemoryBudget(
-            per_tile_bytes=self.config.tile_memory_bytes,
-            tiles=self.config.tiles,
-            dram_gb_per_s=self.config.dram_gb_per_s,
-        )
-
-    def compute_budget(self) -> ComputeBudget:
-        return ComputeBudget(
-            macs_per_cycle_per_tile=self.config.macs_per_cycle_per_tile,
-            tiles=self.config.tiles,
-            clock_ghz=self.config.clock_ghz,
-        )
-
-    def make_config(
-        self, *, l1_kb: int | None = None, **overrides
-    ) -> AcceleratorConfig:
-        config = self.config
-        if l1_kb is not None:
-            if l1_kb < 0:
-                raise ValueError(f"l1_kb must be >= 0, got {l1_kb}")
-            config = config.with_l1(l1_kb * 1024)
-        if overrides:
-            config = replace(config, **overrides)
-        return config
 
 
 #: Zynq UltraScale+ ZCU102 class FPGA: 8 BRAM-backed compute regions of

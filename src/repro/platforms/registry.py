@@ -11,18 +11,23 @@ specifications of each part:
   GPGPU-Sim Pascal model the paper uses), 11 GB GDDR5X, 64 KB default
   L1D (the Figure 2 sweep rescales it), 96 KB shared memory.
 
-The registry itself is capability-based: every entry implements the
-:class:`~repro.platforms.base.Platform` protocol (``name``, ``kind``,
-``memory_budget()``, ``compute_budget()``, ``make_config()``), so GPUs,
-FPGAs and NPUs list, resolve and sweep through one surface:
+The registry maps each name to its frozen execution config: a
+:class:`GpuConfig` for the GPUs, an
+:class:`~repro.platforms.accel.AcceleratorConfig` for the FPGA and NPU
+platforms.  Both carry ``name`` and ``kind`` (``gpu``, ``fpga`` or
+``npu``), so GPUs, FPGAs and NPUs list, resolve and sweep through one
+surface:
 
-* :func:`platform` — name -> Platform (the capability object);
-* :func:`make_config` — name -> frozen execution config, with
-  per-platform overrides (``l1_kb`` for the Figure 2 sweep);
-* :func:`list_platforms` — all names, optionally filtered by kind.
+* :func:`make_config` — name -> config, with overrides (``l1_kb`` for
+  the Figure 2 sweep, or any config field by name);
+* :func:`list_platforms` — all names, optionally filtered by kind;
+* :func:`register_platform` / :func:`unregister_platform` — add a
+  config under its name, or remove one that is not built in.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.gpu.config import GpuConfig
 from repro.platforms.accel import (
@@ -30,9 +35,10 @@ from repro.platforms.accel import (
     S2NPU,
     ZCU102,
     AcceleratorConfig,
-    AcceleratorPlatform,
 )
-from repro.platforms.base import KINDS, GpuPlatform, Platform
+
+#: Device classes a platform may declare.
+KINDS = ("gpu", "fpga", "npu")
 
 KB = 1024
 MB = 1024 * 1024
@@ -91,13 +97,13 @@ GP102 = GpuConfig(
     idle_watts=50.0,
 )
 
-_REGISTRY: dict[str, Platform] = {
-    "gk210": GpuPlatform(GK210),
-    "tx1": GpuPlatform(TX1),
-    "gp102": GpuPlatform(GP102),
-    "zcu102": AcceleratorPlatform(ZCU102),
-    "s2npu": AcceleratorPlatform(S2NPU),
-    "pynqz1": AcceleratorPlatform(PYNQ_Z1_MAPPED),
+_REGISTRY: dict[str, GpuConfig | AcceleratorConfig] = {
+    "gk210": GK210,
+    "tx1": TX1,
+    "gp102": GP102,
+    "zcu102": ZCU102,
+    "s2npu": S2NPU,
+    "pynqz1": PYNQ_Z1_MAPPED,
 }
 
 #: Names that can never be unregistered.
@@ -111,53 +117,53 @@ def list_platforms(kind: str | None = None) -> tuple[str, ...]:
     if kind not in KINDS:
         raise ValueError(f"unknown platform kind {kind!r}; kinds: {', '.join(KINDS)}")
     return tuple(
-        name for name, entry in _REGISTRY.items() if entry.kind == kind
+        name for name, config in _REGISTRY.items() if config.kind == kind
     )
 
 
-def platform(name: str) -> Platform:
-    """Look up a platform's capability object by (case-insensitive) name."""
-    try:
-        return _REGISTRY[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown platform {name!r}; available: {', '.join(_REGISTRY)}"
-        ) from None
-
-
-def make_config(name: str, **overrides):
+def make_config(
+    name: str, *, l1_kb: int | None = None, **overrides
+) -> GpuConfig | AcceleratorConfig:
     """The execution config of a platform, with optional overrides.
 
     The single entry point the run/serve/campaign layers resolve
     platforms through: ``make_config("gp102")`` is the canonical
-    :data:`GP102` instance, ``make_config("gp102", l1_kb=128)`` the
-    Figure 2 sweep's derived config, ``make_config("s2npu")`` an
+    :data:`GP102` instance (so identity-based caching keeps working),
+    ``make_config("gp102", l1_kb=128)`` the Figure 2 sweep's derived
+    config, ``make_config("s2npu")`` an
     :class:`~repro.platforms.accel.AcceleratorConfig` the tiling mapper
-    executes.  ``l1_kb=None`` keeps the platform default, matching the
-    campaign planner's axis semantics.
+    executes.  ``l1_kb`` sets a GPU's L1D or an accelerator's per-tile
+    memory; ``None`` keeps the platform default, matching the campaign
+    planner's axis semantics.  Other overrides name config fields.
     """
-    return platform(name).make_config(**overrides)
+    try:
+        config = _REGISTRY[name.lower()]
+    except KeyError:
+        raise KeyError(
+            f"unknown platform {name!r}; available: {', '.join(_REGISTRY)}"
+        ) from None
+    if l1_kb is not None:
+        if l1_kb < 0:
+            raise ValueError(f"l1_kb must be >= 0, got {l1_kb}")
+        config = config.with_l1(l1_kb * 1024)
+    if overrides:
+        config = replace(config, **overrides)
+    return config
 
 
-def register_platform(entry, *, replace: bool = False) -> Platform:
-    """Register a platform under its (lower-cased) name.
+def register_platform(
+    config: GpuConfig | AcceleratorConfig, *, replace: bool = False
+) -> GpuConfig | AcceleratorConfig:
+    """Register *config* under its (lower-cased) name and return it.
 
-    Accepts a :class:`~repro.platforms.base.Platform` implementation,
-    or a raw :class:`GpuConfig`/:class:`AcceleratorConfig` which is
-    wrapped in the matching adapter — so downstream code (the serving
-    fleet builder, tests, user studies) keeps registering plain configs.
     Re-registering an existing name requires ``replace=True`` so the
     paper platforms can't be shadowed silently.
     """
-    if isinstance(entry, GpuConfig):
-        entry = GpuPlatform(entry)
-    elif isinstance(entry, AcceleratorConfig):
-        entry = AcceleratorPlatform(entry)
-    key = entry.name.lower()
+    key = config.name.lower()
     if not replace and key in _REGISTRY:
-        raise ValueError(f"platform {entry.name!r} is already registered")
-    _REGISTRY[key] = entry
-    return entry
+        raise ValueError(f"platform {config.name!r} is already registered")
+    _REGISTRY[key] = config
+    return config
 
 
 def unregister_platform(name: str) -> None:

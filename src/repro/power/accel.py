@@ -16,7 +16,6 @@ measurements stay platform-agnostic.
 
 from __future__ import annotations
 
-from repro.gpu.config import GpuConfig
 from repro.power.gpuwattch import GpuWattchModel
 from repro.profiling.stats import KernelStats
 
@@ -70,6 +69,6 @@ class AcceleratorPowerModel:
 
 def power_model_for(config):
     """The power model matching a platform's execution config."""
-    if isinstance(config, GpuConfig):
+    if config.kind == "gpu":
         return GpuWattchModel(config)
     return AcceleratorPowerModel(config)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.config import GpuConfig
 from repro.gpu.simulator import NetworkResult
 from repro.power.accel import power_model_for
 
@@ -48,7 +47,7 @@ class WattsupMeter:
     def measure(self, result: NetworkResult) -> DeviceMeasurement:
         """Meter one network run on this board."""
         chip_peak = self.model.peak_power(result)
-        if isinstance(self.config, GpuConfig):
+        if self.config.kind == "gpu":
             # Board overhead (VRM losses, memory, SoC uncore) rides on
             # top of the chip estimate; idle_watts is the board's floor.
             board_peak = self.config.idle_watts + 0.9 * chip_peak

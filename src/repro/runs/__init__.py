@@ -39,7 +39,7 @@ from repro.runs.executor import ExecutionReport, Executor
 from repro.runs.experiment import Experiment, RunView, run_experiment
 from repro.runs.planner import Plan, build_plan
 from repro.runs.spec import PlanContext, RunSpec, run_key
-from repro.runs.store import ResultStore, StoredNetworkResult
+from repro.runs.store import ResultStore
 
 __all__ = [
     "ExecutionReport",
@@ -50,7 +50,6 @@ __all__ = [
     "ResultStore",
     "RunSpec",
     "RunView",
-    "StoredNetworkResult",
     "build_plan",
     "run_experiment",
     "run_key",

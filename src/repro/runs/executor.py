@@ -8,9 +8,10 @@ order so the store's contents are deterministic regardless of worker
 completion order.  Only the executor, in the parent process, writes
 run entries.
 
-Both live and cached paths return :class:`StoredNetworkResult` decoded
-from the JSON payload, so every consumer sees byte-identical values
-whether the run was fresh or a hit.
+Both live and cached paths return the
+:class:`~repro.gpu.simulator.NetworkResult` decoded from the JSON
+payload, so every consumer sees byte-identical values whether the run
+was fresh or a hit.
 
 When a tracer is installed (:mod:`repro.obs`), the executor records
 wall-clock spans for store probes, fresh simulations and whole-plan
@@ -27,17 +28,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from repro.gpu.config import GpuConfig
-from repro.gpu.simulator import L1Memo
+from repro.gpu.simulator import L1Memo, NetworkResult
 from repro.obs.tracer import WALL_S, get_tracer
 from repro.runs.planner import Plan
 from repro.runs.spec import RunSpec
-from repro.runs.store import (
-    ResultStore,
-    StoredNetworkResult,
-    result_from_payload,
-    result_to_payload,
-)
+from repro.runs.store import ResultStore, result_from_payload, result_to_payload
 
 
 @dataclass
@@ -95,7 +90,7 @@ class Executor:
     def __init__(self, store: ResultStore | None = None, verbose: bool = False) -> None:
         self.store = store
         self.verbose = verbose
-        self._memory: dict[str, StoredNetworkResult] = {}
+        self._memory: dict[str, NetworkResult] = {}
         self.l1_memo = L1Memo()
         #: Fresh simulations performed through this executor.
         self.fresh = 0
@@ -103,7 +98,7 @@ class Executor:
         self.hits = 0
 
     # ------------------------------------------------------------------
-    def run(self, spec: RunSpec, refresh: bool = False) -> StoredNetworkResult:
+    def run(self, spec: RunSpec, refresh: bool = False) -> NetworkResult:
         """Run (or load) one network simulation.
 
         ``refresh=True`` skips the memory and store reads and simulates
@@ -274,7 +269,7 @@ CHUNKS_PER_JOB = 4
 def _l1_group(spec: RunSpec):
     """What a spec shares with the specs it differs from only in L1D size."""
     config = spec.config
-    if isinstance(config, GpuConfig):
+    if config.kind == "gpu":
         config = replace(config, l1_size=0)
     return spec.network, config, spec.options
 
@@ -313,7 +308,7 @@ def _simulate_spec(spec: RunSpec, l1_memo: L1Memo) -> dict:
     GPU configs go through the cycle-level simulator; accelerator
     configs go through the tiling mapper's analytic execution model.
     """
-    if not isinstance(spec.config, GpuConfig):
+    if spec.config.kind != "gpu":
         from repro.mapping.execute import run_mapped_network
 
         live = run_mapped_network(spec.network, spec.config, spec.options)

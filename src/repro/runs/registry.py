@@ -1,11 +1,12 @@
 """The single registry of paper experiments.
 
-Experiment modules (``repro.harness.tables`` and the sixteen
-``repro.harness.figNN_*`` modules) call :func:`register` at import time;
+Experiment modules (``repro.harness.tables``, the sixteen
+``repro.harness.figNN_*`` modules and ``figx_hetero_energy``) call
+:func:`register` at import time;
 :func:`all_experiments` imports them all and returns the registry in
 paper order.  The registry is the one source of truth behind
-``python -m repro.harness.suite``, ``repro harness list|run`` and the
-planner's full-suite matrix.
+``repro harness list|run`` (through :func:`repro.harness.suite.run_all`)
+and the planner's full-suite matrix.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ class RunSpec:
     def describe(self) -> str:
         """One-line human identity for planner/executor logs."""
         extras = []
-        if isinstance(self.config, GpuConfig) and self.config.l1_size != 64 * 1024:
+        if self.config.kind == "gpu" and self.config.l1_size != 64 * 1024:
             extras.append(f"l1={self.config.l1_size // 1024}K")
         if self.options.scheduler != "gto":
             extras.append(f"sched={self.options.scheduler}")

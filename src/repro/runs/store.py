@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.gpu.config import GpuConfig, SimOptions
 from repro.gpu.engine import engine_version
 from repro.gpu.occupancy import Occupancy
+from repro.gpu.simulator import KernelInfo, KernelResult, NetworkResult
 from repro.profiling.stats import KernelStats
 from repro.runs.spec import RunSpec
 
@@ -48,93 +49,12 @@ def default_cache_dir() -> Path:
 # ----------------------------------------------------------------------
 # whole-network run entries
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StoredKernelInfo:
-    """Identity of one kernel launch inside a stored network run."""
-
-    name: str
-    node_name: str
-    category: str
-    sig: str
-    total_blocks: int
-
-    def signature(self) -> str:
-        """Launch signature (method, mirroring ``KernelLaunch``)."""
-        return self.sig
-
-
-@dataclass
-class StoredKernelResult:
-    """Kernel entry of a stored run (API-compatible with KernelResult)."""
-
-    kernel: StoredKernelInfo
-    stats: KernelStats
-    occupancy: Occupancy
-    sample_factor: float
-    block_factor: float
-
-    @property
-    def category(self) -> str:
-        """Layer-type category."""
-        return self.kernel.category
-
-
-@dataclass
-class StoredNetworkResult:
-    """Stored network run exposing the ``NetworkResult`` read API.
-
-    The power models, nvprof front-end and serving latency profiles all
-    duck-type against this: it carries per-kernel stats *and* the
-    occupancy/sampling fields :func:`repro.serve.profiles.profile_from_result`
-    needs, so one store feeds every consumer.
-    """
-
-    network: str
-    config: GpuConfig
-    options: SimOptions
-    kernels: list[StoredKernelResult] = field(default_factory=list)
-    #: Distinct canonical kernel signatures in the launch sequence —
-    #: the number of simulations the dedup path actually ran.
-    unique_kernels: int = 0
-
-    @property
-    def total_cycles(self) -> float:
-        """End-to-end cycles."""
-        return sum(k.stats.cycles for k in self.kernels)
-
-    @property
-    def total_time_ms(self) -> float:
-        """End-to-end milliseconds at the platform clock."""
-        return self.total_cycles / (self.config.clock_ghz * 1e6)
-
-    def cycles_by_category(self) -> dict[str, float]:
-        """Cycles per layer-type category."""
-        out: dict[str, float] = {}
-        for k in self.kernels:
-            out[k.category] = out.get(k.category, 0.0) + k.stats.cycles
-        return out
-
-    def stats_by_category(self) -> dict[str, KernelStats]:
-        """Merged counters per layer-type category."""
-        out: dict[str, KernelStats] = {}
-        for k in self.kernels:
-            out.setdefault(k.category, KernelStats()).merge(k.stats)
-        return out
-
-    def aggregate(self) -> KernelStats:
-        """Whole-network merged counters."""
-        total = KernelStats()
-        for k in self.kernels:
-            total.merge(k.stats)
-        return total
-
-
-def result_to_payload(result) -> dict:
-    """JSON payload of a live ``NetworkResult`` (or stored clone)."""
+def result_to_payload(result: NetworkResult) -> dict:
+    """JSON payload of a network run."""
     return {
         "engine": engine_version(),
         "network": result.network,
-        "unique_kernels": len({k.kernel.signature() for k in result.kernels}),
+        "unique_kernels": result.unique_kernels,
         "kernels": [
             {
                 "name": k.kernel.name,
@@ -154,22 +74,21 @@ def result_to_payload(result) -> dict:
 
 def result_from_payload(
     payload: dict, config: GpuConfig, options: SimOptions
-) -> StoredNetworkResult | None:
-    """Payload dict -> StoredNetworkResult, or None when malformed."""
+) -> NetworkResult | None:
+    """Payload dict -> NetworkResult, or None when malformed.
+
+    A :class:`~repro.gpu.simulator.KernelInfo` stands in for each
+    kernel's launch."""
     try:
         if payload["engine"] != engine_version():
             return None
-        out = StoredNetworkResult(
-            network=payload["network"], config=config, options=options
-        )
-        out.unique_kernels = payload.get(
-            "unique_kernels",
-            len({entry["signature"] for entry in payload["kernels"]}),
-        )
-        for entry in payload["kernels"]:
-            out.kernels.append(
-                StoredKernelResult(
-                    kernel=StoredKernelInfo(
+        return NetworkResult(
+            network=payload["network"],
+            config=config,
+            options=options,
+            kernels=[
+                KernelResult(
+                    kernel=KernelInfo(
                         name=entry["name"],
                         node_name=entry["node_name"],
                         category=entry["category"],
@@ -181,8 +100,9 @@ def result_from_payload(
                     sample_factor=entry["sample_factor"],
                     block_factor=entry["block_factor"],
                 )
-            )
-        return out
+                for entry in payload["kernels"]
+            ],
+        )
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
 
@@ -207,7 +127,7 @@ class ResultStore:
         name = f"{spec.network}-{spec.config.name}-{spec.key()[:24]}.json"
         return self.cache_dir / RUNS_SUBDIR / name
 
-    def get_run(self, spec: RunSpec) -> StoredNetworkResult | None:
+    def get_run(self, spec: RunSpec) -> NetworkResult | None:
         """Look up one network run; None on miss or unreadable entry."""
         try:
             payload = json.loads(self.run_path(spec).read_text())

@@ -13,13 +13,12 @@ import pytest
 
 from repro.gpu.config import SimOptions
 from repro.harness.report import Check, ExperimentResult
-from repro.harness.suite import EXPERIMENTS
 from repro.isa.opcodes import Pipe
 from repro.platforms import GP102
 from repro.profiling.stall import StallReason
 from repro.profiling.stats import KernelStats
 from repro.runs import Executor, ResultStore, RunSpec, run_experiment
-from repro.runs.registry import get_experiment
+from repro.runs.registry import all_experiments, get_experiment
 
 
 class TestReport:
@@ -108,4 +107,4 @@ class TestAnalyticExperiments:
         expected = {f"table{i}" for i in range(1, 5)} | {
             f"fig{i:02d}" for i in range(1, 17)
         } | {"hetero"}
-        assert set(EXPERIMENTS) == expected
+        assert set(all_experiments()) == expected

@@ -15,7 +15,7 @@ from repro.perf.stats import compare_samples, mann_whitney_u, summarize
 class TestSimulateCli:
     def test_light_run_prints_table(self, capsys, tmp_path):
         exit_code = main([
-            "simulate", "gru", "--light", "--cache-dir", str(tmp_path),
+            "simulate", "gru", "--fidelity", "light", "--cache-dir", str(tmp_path),
         ])
         out = capsys.readouterr().out
         assert exit_code == 0
@@ -23,7 +23,7 @@ class TestSimulateCli:
 
     def test_json_output(self, capsys, tmp_path):
         exit_code = main([
-            "simulate", "gru", "--light", "--json",
+            "simulate", "gru", "--fidelity", "light", "--json",
             "--cache-dir", str(tmp_path),
         ])
         assert exit_code == 0
@@ -34,12 +34,12 @@ class TestSimulateCli:
 
     def test_no_cache_writes_nothing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        exit_code = main(["simulate", "gru", "--light", "--no-cache"])
+        exit_code = main(["simulate", "gru", "--fidelity", "light", "--no-cache"])
         assert exit_code == 0
         assert not (tmp_path / "cache").exists()
 
     def test_cache_reused_across_invocations(self, capsys, tmp_path):
-        args = ["simulate", "gru", "--light", "--json",
+        args = ["simulate", "gru", "--fidelity", "light", "--json",
                 "--cache-dir", str(tmp_path)]
         assert main(args) == 0
         first = json.loads(capsys.readouterr().out)
@@ -49,18 +49,18 @@ class TestSimulateCli:
         assert first == second
 
     def test_parallel_jobs_match_serial(self, capsys, tmp_path):
-        serial_args = ["simulate", "gru", "lstm", "--light", "--json",
+        serial_args = ["simulate", "gru", "lstm", "--fidelity", "light", "--json",
                        "--no-cache"]
         assert main(serial_args) == 0
         serial = json.loads(capsys.readouterr().out)
-        parallel_args = ["simulate", "gru", "lstm", "--light", "--json",
+        parallel_args = ["simulate", "gru", "lstm", "--fidelity", "light", "--json",
                          "--jobs", "2", "--cache-dir", str(tmp_path)]
         assert main(parallel_args) == 0
         parallel = json.loads(capsys.readouterr().out)
         assert serial == parallel  # same results, same (input) order
 
     def test_unknown_network_rejected(self, capsys):
-        assert main(["simulate", "nonesuch", "--light"]) == 2
+        assert main(["simulate", "nonesuch", "--fidelity", "light"]) == 2
         assert "unknown network" in capsys.readouterr().err
 
 
@@ -68,7 +68,7 @@ class TestBenchCli:
     def test_writes_bench_json(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_sim.json"
         exit_code = main([
-            "bench", "gru", "--light",
+            "bench", "gru", "--fidelity", "light",
             "--output", str(out_path),
             "--cache-dir", str(tmp_path / "cache"),
         ])
@@ -83,20 +83,20 @@ class TestBenchCli:
     def test_seed_timing_included_on_request(self, tmp_path):
         out_path = tmp_path / "bench.json"
         exit_code = main([
-            "bench", "gru", "--light", "--seed",
+            "bench", "gru", "--fidelity", "light", "--seed",
             "--output", str(out_path),
         ])
         assert exit_code == 0
         assert json.loads(out_path.read_text())["gru"]["seed_s"] > 0
 
     def test_unknown_network_rejected(self, capsys):
-        assert main(["bench", "nonesuch", "--light"]) == 2
+        assert main(["bench", "nonesuch", "--fidelity", "light"]) == 2
         assert "unknown network" in capsys.readouterr().err
 
     def test_runs_records_samples_and_stats(self, tmp_path):
         out_path = tmp_path / "bench.json"
         exit_code = main([
-            "bench", "gru", "--light", "--runs", "3",
+            "bench", "gru", "--fidelity", "light", "--runs", "3",
             "--output", str(out_path),
         ])
         assert exit_code == 0
@@ -114,13 +114,13 @@ class TestBenchCli:
     def test_compare_against_self_passes(self, tmp_path):
         out_path = tmp_path / "bench.json"
         assert main([
-            "bench", "gru", "--light", "--runs", "5",
+            "bench", "gru", "--fidelity", "light", "--runs", "5",
             "--output", str(out_path),
         ]) == 0
         # Re-benching against the just-written baseline on the same
         # machine must not flag a regression.
         assert main([
-            "bench", "gru", "--light", "--runs", "5",
+            "bench", "gru", "--fidelity", "light", "--runs", "5",
             "--output", str(tmp_path / "again.json"),
             "--compare", str(out_path),
             "--threshold", "2.0",  # generous: CI runners are noisy
@@ -139,7 +139,7 @@ class TestBenchCli:
         base_path = tmp_path / "baseline.json"
         base_path.write_text(json.dumps(baseline))
         exit_code = main([
-            "bench", "gru", "--light", "--runs", "5",
+            "bench", "gru", "--fidelity", "light", "--runs", "5",
             "--output", str(tmp_path / "bench.json"),
             "--compare", str(base_path),
         ])
@@ -160,7 +160,7 @@ class TestBenchCli:
             }
         }))
         exit_code = main([
-            "bench", "gru", "--light", "--runs", "5",
+            "bench", "gru", "--fidelity", "light", "--runs", "5",
             "--output", str(path), "--compare", str(path),
         ])
         assert exit_code == 1
@@ -252,11 +252,12 @@ class TestStats:
     ["bench", "--serve", "--gate"],
     ["bench", "gru", "--repeats", "3"],
     ["bench", "--serve"],
-    ["simulate", "gru", "--light", "--no-cache", "--engine", "seed"],
+    ["simulate", "gru", "--fidelity", "light", "--no-cache", "--engine", "seed"],
+    ["simulate", "gru", "--light", "--no-cache"],
 ])
 def test_removed_options_are_rejected(capsys, argv):
-    # Selectors of deleted engines, loops, gates and benches must be refused,
-    # never silently ignored.
+    # Selectors of deleted engines, loops, gates and benches, and the
+    # retired --light spelling, must be refused, never silently ignored.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 
+from repro.cli import main
 from repro.harness.render import render_experiment, render_series
 from repro.harness.report import Check, ExperimentResult
-from repro.harness.suite import main
 
 
 class TestRenderSeries:
@@ -47,12 +47,14 @@ class TestRenderExperiment:
 
 class TestCliOutputs:
     def test_chart_flag(self, capsys):
-        assert main(["fig09", "--no-cache", "--chart"]) == 0
+        assert main(["harness", "run", "fig09", "--no-cache", "--chart"]) == 0
         out = capsys.readouterr().out
         assert "█" in out
 
     def test_json_export(self, tmp_path, capsys):
-        assert main(["table2", "--no-cache", "--json", str(tmp_path)]) == 0
+        assert main(
+            ["harness", "run", "table2", "--no-cache", "--json-dir", str(tmp_path)]
+        ) == 0
         payload = json.loads((tmp_path / "table2.json").read_text())
         assert payload["id"] == "table2"
         assert all(check["passed"] for check in payload["checks"])

@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.gpu.config import SimOptions
-from repro.platforms import GP102, TX1
+from repro.platforms import GP102, TX1, make_config
 from repro.runs import (
     Executor,
     PlanContext,
@@ -195,10 +195,14 @@ class TestExecutor:
 
 
 class TestStore:
-    def test_payload_roundtrip_is_exact(self):
-        result = Executor().run(RunSpec("gru", GP102, LIGHT))
+    @pytest.mark.parametrize("platform", ["gp102", "s2npu"])
+    def test_payload_roundtrip_is_exact(self, platform):
+        config = make_config(platform)
+        result = Executor().run(RunSpec("gru", config, LIGHT))
         payload = json.loads(json.dumps(result_to_payload(result)))
-        clone = result_from_payload(payload, "gru", GP102)
+        clone = result_from_payload(payload, config, LIGHT)
+        assert result_to_payload(clone) == payload
+        assert clone.total_time_ms == result.total_time_ms
         assert clone.total_cycles == result.total_cycles
         assert clone.cycles_by_category() == result.cycles_by_category()
         for ka, kb in zip(result.kernels, clone.kernels):

@@ -13,7 +13,7 @@ class TestServeCli:
     def test_light_poisson_run_json(self, capsys, tmp_path):
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102,tx1",
-            "--rps", "400", "--requests", "300", "--light",
+            "--rps", "400", "--requests", "300", "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--seed", "1", "--json",
         ])
         assert exit_code == 0
@@ -26,7 +26,7 @@ class TestServeCli:
     def test_seed_reproducibility(self, capsys, tmp_path):
         args = [
             "serve", "--networks", "gru", "--devices", "gp102",
-            "--rps", "200", "--requests", "200", "--light",
+            "--rps", "200", "--requests", "200", "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--seed", "9", "--json",
         ]
         assert main(args) == 0
@@ -39,7 +39,7 @@ class TestServeCli:
         report = tmp_path / "serve.md"
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102,tx1",
-            "--rps", "300", "--requests", "200", "--light",
+            "--rps", "300", "--requests", "200", "--fidelity", "light",
             "--cache-dir", str(tmp_path),
             "--scheduler", "round-robin,latency-aware",
             "--report", str(report),
@@ -54,7 +54,7 @@ class TestServeCli:
     def test_extension_network_served(self, capsys, tmp_path):
         exit_code = main([
             "serve", "--networks", "mobilenet", "--devices", "gp102",
-            "--rps", "100", "--requests", "50", "--light",
+            "--rps", "100", "--requests", "50", "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--json",
         ])
         assert exit_code == 0
@@ -70,7 +70,7 @@ class TestServeCli:
         ]))
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102",
-            "--arrival", "trace", "--trace", str(trace), "--light",
+            "--arrival", "trace", "--trace", str(trace), "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--json",
         ])
         assert exit_code == 0
@@ -79,7 +79,7 @@ class TestServeCli:
     def test_trace_without_path_errors(self, capsys, tmp_path):
         exit_code = main([
             "serve", "--networks", "gru", "--arrival", "trace",
-            "--light", "--cache-dir", str(tmp_path),
+            "--fidelity", "light", "--cache-dir", str(tmp_path),
         ])
         assert exit_code == 2
 
@@ -108,7 +108,7 @@ class TestServeCli:
     ):
         exit_code = main([
             "serve", "--networks", "gru", "--rps", "100", "--requests", "200",
-            "--light", "--cache-dir", str(tmp_path), flag, value,
+            "--fidelity", "light", "--cache-dir", str(tmp_path), flag, value,
         ])
         assert exit_code == 2
         captured = capsys.readouterr()
@@ -165,7 +165,7 @@ class TestScenarioCli:
     def test_scenario_json_schema(self, capsys, tmp_path):
         path = self.write_scenario(tmp_path)
         exit_code = main([
-            "serve", "--scenario", str(path), "--light",
+            "serve", "--scenario", str(path), "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--json",
         ])
         assert exit_code == 0
@@ -189,7 +189,7 @@ class TestScenarioCli:
             SCENARIO_TOML.replace("seed = 3\n", 'seed = 3\nloop = "fast"\n')
         )
         exit_code = main([
-            "serve", "--scenario", str(path), "--light",
+            "serve", "--scenario", str(path), "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--json",
         ])
         assert exit_code == 2
@@ -208,7 +208,7 @@ class TestScenarioCli:
             SCENARIO_TOML.replace("max_queue = 16\n", "max_queue = 16\nmax_batch = 0\n")
         )
         exit_code = main([
-            "serve", "--scenario", str(path), "--light",
+            "serve", "--scenario", str(path), "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--json",
         ])
         assert exit_code == 2
@@ -219,7 +219,7 @@ class TestScenarioCli:
     def test_scenario_text_output_mentions_tenants(self, capsys, tmp_path):
         path = self.write_scenario(tmp_path)
         assert main([
-            "serve", "--scenario", str(path), "--light",
+            "serve", "--scenario", str(path), "--fidelity", "light",
             "--cache-dir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
@@ -231,13 +231,13 @@ class TestScenarioCli:
         # loudly rather than fall back to flag defaults.
         assert main([
             "serve", "--scenario", str(tmp_path / "missing.toml"),
-            "--light", "--cache-dir", str(tmp_path),
+            "--fidelity", "light", "--cache-dir", str(tmp_path),
         ]) == 2
 
     def test_admission_flag_without_scenario(self, capsys, tmp_path):
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102",
-            "--rps", "2000", "--requests", "400", "--light",
+            "--rps", "2000", "--requests", "400", "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--slo-ms", "2",
             "--queue", "8", "--admission", "slo-aware", "--json",
         ])
@@ -259,7 +259,7 @@ class TestCacheCli:
     def test_stats_then_clear_roundtrip(self, capsys, tmp_path):
         # Populate the cache through a simulation run.
         assert main([
-            "simulate", "gru", "--light", "--cache-dir", str(tmp_path),
+            "simulate", "gru", "--fidelity", "light", "--cache-dir", str(tmp_path),
         ]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0

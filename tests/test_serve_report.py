@@ -75,7 +75,7 @@ class TestServeCliReportMetrics:
         report = tmp_path / "serve.md"
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102,s2npu",
-            "--rps", "300", "--requests", "150", "--light",
+            "--rps", "300", "--requests", "150", "--fidelity", "light",
             "--cache-dir", str(tmp_path),
             "--scheduler", "round-robin,latency-aware",
             "--report", str(report),

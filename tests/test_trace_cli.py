@@ -33,7 +33,7 @@ class TestTraceSimulate:
     def test_refreshes_even_when_store_is_warm(self, capsys, tmp_path):
         cache = tmp_path / "store"
         out = tmp_path / "trace.json"
-        args = ["trace", "simulate", "gru", "--light",
+        args = ["trace", "simulate", "gru", "--fidelity", "light",
                 "--cache-dir", str(cache), "--output", str(out)]
         assert main(args) == 0
         first = json.loads(out.read_text())
@@ -51,7 +51,7 @@ class TestTraceSimulate:
 
     def test_no_warps_drops_stall_spans(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        assert main(["trace", "simulate", "gru", "--light", "--no-cache",
+        assert main(["trace", "simulate", "gru", "--fidelity", "light", "--no-cache",
                      "--no-warps", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         cats = {e.get("cat") for e in payload["traceEvents"]}
@@ -59,14 +59,14 @@ class TestTraceSimulate:
 
     def test_json_prints_payload_to_stdout(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        assert main(["trace", "simulate", "gru", "--light", "--no-cache",
+        assert main(["trace", "simulate", "gru", "--fidelity", "light", "--no-cache",
                      "--output", str(out), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == json.loads(out.read_text())
 
     def test_max_events_overflow_is_counted(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        assert main(["trace", "simulate", "gru", "--light", "--no-cache",
+        assert main(["trace", "simulate", "gru", "--fidelity", "light", "--no-cache",
                      "--max-events", "10", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["otherData"]["dropped_events"] > 0
@@ -79,7 +79,7 @@ class TestTraceSimulate:
 
     def test_l1_sweep_tags_kernels_served_from_another_size(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        assert main(["trace", "simulate", "cifarnet", "--light", "--no-cache",
+        assert main(["trace", "simulate", "cifarnet", "--fidelity", "light", "--no-cache",
                      "--no-warps", "--l1-kb", "0,64,128",
                      "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
