@@ -4,8 +4,8 @@ The paper's Section IV workflow: run a network through the simulator
 and read per-layer timing, stall, cache and power statistics.  This
 example prints that report for any suite network.
 
-Run:  python examples/profile_network.py [network] [platform]
-      e.g. python examples/profile_network.py alexnet gk210
+Run:  python examples/nvprof_report.py [network] [platform]
+      e.g. python examples/nvprof_report.py alexnet gk210
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 The aggregation end of a campaign: project every QoR row onto the
 spec's objective vector (signs applied so every objective minimizes),
 filter dominated points, and diff the surviving frontier against a
-committed golden frontier the way the PR-7 bench gate diffs timing
-samples — regressions exit non-zero, improvements are reported and
-tolerated.
+committed golden frontier — regressions exit non-zero, improvements
+are reported and tolerated.
 
 Dominance here is the standard product order: ``a`` dominates ``b``
 when ``a`` is no worse on every objective and strictly better on at

@@ -18,11 +18,6 @@ Subcommands:
     disables).  ``--jobs N`` fans networks out across N worker
     processes; output order stays the input order.
 
-``repro bench [networks...]``
-    Time cold simulations vs warm run-entry reads per network and write
-    ``BENCH_sim.json`` (``--seed`` also times the frozen reference
-    engine for speedup ratios).  ``--json`` also prints the payload.
-
 ``repro harness list`` / ``repro harness run [exp-ids...]``
     The paper-experiment harness: ``list`` prints every registered
     table/figure experiment with its planned run count; ``run`` plans
@@ -55,7 +50,11 @@ Subcommands:
     ``repro serve`` option set and additionally captures request/batch/queue
     spans.  ``--output PATH`` names the artifact, ``--no-warps`` drops
     the (voluminous) per-warp stall phases, ``--max-events N`` bounds
-    trace memory (overflow is counted, never silent).
+    trace memory (overflow is counted, never silent).  In text mode,
+    ``trace simulate`` then prints one table per GPU run, built from
+    that run's kernel spans: each kernel's category, source (``fresh``,
+    ``local`` or ``l1_reuse``), simulated cycles, host milliseconds and
+    share of the run's kernel host seconds, slowest on the host first.
 
 ``repro campaign run|compare|list SPEC``
     Declarative design-space-exploration campaigns (see
@@ -139,25 +138,44 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _sim_options(args: argparse.Namespace):
+def _sim_options(scheduler: str, fidelity: str):
+    """The simulation options a warp scheduler and fidelity name."""
     from repro.gpu.config import SimOptions
 
-    options = SimOptions(scheduler=args.scheduler)
-    if args.fidelity == "light":
+    options = SimOptions(scheduler=scheduler)
+    if fidelity == "light":
         options = options.light()
     return options
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _platform_configs(args: argparse.Namespace) -> list | int:
+    """The configs of ``--platform`` at each ``--l1-kb`` size (its own
+    L1D where the subcommand has no such flag); exit code 2 and a
+    one-line message on an unknown platform."""
     from repro.platforms import make_config
+
+    try:
+        return [
+            make_config(args.platform, l1_kb=kb)
+            for kb in getattr(args, "l1_kb", None) or [None]
+        ]
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.runs import Executor, ResultStore, RunSpec
 
     names = args.networks or list(NETWORK_ORDER)
     err = _check_networks(names)
     if err is not None:
         return err
-    config = make_config(args.platform)
-    options = _sim_options(args)
+    configs = _platform_configs(args)
+    if isinstance(configs, int):
+        return configs
+    config = configs[0]
+    options = _sim_options(args.scheduler, args.fidelity)
     store = None if args.no_cache else ResultStore(args.cache_dir)
     executor = Executor(store)
     specs = [RunSpec(name, config, options) for name in names]
@@ -184,76 +202,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"{row['network']:12s} {row['platform']:8s} "
                   f"{row['kernels']:7d} {row['total_cycles']:16.0f} "
                   f"{row['total_time_ms']:10.3f}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import run_bench, write_bench
-    from repro.platforms import make_config
-
-    names = args.networks or list(NETWORK_ORDER)
-    err = _check_networks(names)
-    if err is not None:
-        return err
-    config = make_config(args.platform)
-    options = _sim_options(args)
-    baseline = _read_baseline(args)
-    payload = run_bench(
-        names,
-        config,
-        options,
-        cache_dir=args.cache_dir,
-        runs=args.runs,
-        seed=args.seed,
-    )
-    write_bench(payload, args.output)
-    if args.json:
-        import json
-
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"wrote {args.output}")
-    return _compare_to_baseline(args, baseline, payload)
-
-
-def _read_baseline(args: argparse.Namespace) -> dict | None:
-    """The ``--compare`` baseline, read before ``--output`` is written
-    (the two may name the same file)."""
-    from repro.perf.bench import read_bench
-
-    return None if args.compare is None else read_bench(args.compare)
-
-
-def _compare_to_baseline(
-    args: argparse.Namespace, baseline: dict | None, payload: dict
-) -> int:
-    """``--compare PATH``: print a verdict per entry; 1 on a significant
-    slowdown (0 when no baseline was given)."""
-    import json
-
-    from repro.perf.bench import compare_bench
-
-    if baseline is None:
-        return 0
-    report = compare_bench(
-        baseline, payload, threshold=args.threshold, alpha=args.alpha,
-    )
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for name, verdict in report["networks"].items():
-            p = verdict["p"]
-            detail = (f"p={p:.3f}" if p is not None
-                      else f"{verdict['method']}")
-            mark = "REGRESSION" if verdict["slower"] else "ok"
-            print(f"{name:12s} {verdict['ratio']:6.2f}x vs baseline "
-                  f"({detail}) {mark}")
-        for name in report["skipped"]:
-            print(f"{name:12s} skipped (missing from one side)")
-    if report["regressions"]:
-        print(f"bench: significantly slower than {args.compare}: "
-              f"{', '.join(report['regressions'])}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -295,9 +243,8 @@ def _serve_prepare(
     and ``repro trace serve`` (which passes ``refresh=True`` so profile
     building re-simulates and the trace captures the GPU layer too).
     """
-    from repro.gpu.config import SimOptions
     from repro.platforms import make_config
-    from repro.serve import ServeConfig, build_fleet, build_profiles
+    from repro.serve import ServeConfig, build_fleet
     from repro.serve.schedulers import SCHEDULERS
 
     scenario = None
@@ -356,9 +303,7 @@ def _serve_prepare(
     platforms = [device.platform for device in fleet]
     if scenario is not None and scenario.autoscale is not None:
         platforms.append(make_config(scenario.autoscale.template))
-    options = SimOptions(scheduler=args.sim_scheduler)
-    if args.fidelity == "light":
-        options = options.light()
+    options = _sim_options(args.sim_scheduler, args.fidelity)
     profiles, build_s, detail = _serve_profiles(args, names, platforms, options, refresh)
     if not quiet and not args.json:
         print(f"fleet: {' '.join(device.name for device in fleet)}")
@@ -523,27 +468,46 @@ def _print_trace_outcome(args: argparse.Namespace, tracer, payload) -> None:
               f"{len(tracer.instants)} instants{dropped}")
 
 
+def _print_kernel_table(title: str, kernels: list) -> None:
+    """Where one GPU run's host time went, from its kernel spans."""
+    host_s = sum(span.args["host_s"] for span in kernels)
+    print(f"\n{title}: {len(kernels)} kernels, {host_s:.3f} s host")
+    print(f"{'kernel':20s} {'category':12s} {'source':8s} {'cycles':>12s} "
+          f"{'host ms':>9s} {'share':>6s}")
+    for span in sorted(kernels, key=lambda span: span.args["host_s"], reverse=True):
+        args = span.args
+        print(f"{span.name:20s} {args['category']:12s} {args['source']:8s} "
+              f"{span.dur:12.0f} {args['host_s'] * 1e3:9.2f} "
+              f"{args['host_s'] / host_s:6.1%}")
+
+
 def _cmd_trace_simulate(args: argparse.Namespace) -> int:
     from repro.obs import set_tracer, write_trace
-    from repro.platforms import make_config
     from repro.runs import Executor, ResultStore, RunSpec
 
     names = args.networks or ["alexnet"]
     err = _check_networks(names)
     if err is not None:
         return err
-    configs = [make_config(args.platform, l1_kb=kb) for kb in args.l1_kb or [None]]
-    options = _sim_options(args)
+    configs = _platform_configs(args)
+    if isinstance(configs, int):
+        return configs
+    options = _sim_options(args.scheduler, args.fidelity)
     store = None if args.no_cache else ResultStore(args.cache_dir)
     tracer = _trace_tracer(args)
     previous = set_tracer(tracer)
+    runs = []  # (run identity, that run's kernel spans)
     try:
         executor = Executor(store)
         for name in names:
             for config in configs:
+                spec = RunSpec(name, config, options)
+                first = len(tracer.spans)
                 # refresh=True: re-simulate even on a warm store so the
                 # trace always contains live GPU spans.
-                executor.run(RunSpec(name, config, options), refresh=True)
+                executor.run(spec, refresh=True)
+                kernels = [span for span in tracer.spans[first:] if span.cat == "kernel"]
+                runs.append((spec.describe(), kernels))
     finally:
         set_tracer(previous)
     payload = write_trace(tracer, args.output, meta={
@@ -555,6 +519,10 @@ def _cmd_trace_simulate(args: argparse.Namespace) -> int:
         "fidelity": args.fidelity,
     })
     _print_trace_outcome(args, tracer, payload)
+    if not args.json:
+        for title, kernels in runs:
+            if kernels:  # a mapped accelerator run records none
+                _print_kernel_table(title, kernels)
     return 0
 
 
@@ -842,16 +810,14 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     from repro.mapping import MappingError, map_network
-    from repro.platforms import make_config
 
     err = _check_networks([args.network])
     if err is not None:
         return err
-    try:
-        config = make_config(args.platform)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    configs = _platform_configs(args)
+    if isinstance(configs, int):
+        return configs
+    config = configs[0]
     if config.kind == "gpu":
         print(f"error: {args.platform} is a GPU platform; the tiling "
               f"mapper targets fpga/npu platforms (see 'repro platforms')",
@@ -897,7 +863,7 @@ def _shared_parents() -> dict[str, argparse.ArgumentParser]:
 
 
 def _add_sim_args(sub_parser: argparse.ArgumentParser) -> None:
-    """Arguments shared by ``simulate``, ``bench`` and ``trace simulate``."""
+    """Arguments shared by ``simulate`` and ``trace simulate``."""
     sub_parser.add_argument("--platform", default="gp102",
                             help="platform model (default: gp102)")
     sub_parser.add_argument("--scheduler", default="gto",
@@ -1032,38 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_args(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
-    bench = sub.add_parser(
-        "bench",
-        parents=[p["json"], p["cache_dir"]],
-        help="time cold simulations vs warm run-entry reads "
-        "(writes BENCH_sim.json)",
-        description="Benchmark the simulation engine per network and emit "
-        "a JSON timing report.",
-    )
-    bench.add_argument("networks", nargs="*",
-                       help="network names (default: the paper's seven)")
-    _add_sim_args(bench)
-    bench.add_argument("--output", default="BENCH_sim.json", metavar="PATH",
-                       help="output JSON path (default: BENCH_sim.json)")
-    bench.add_argument("--runs", type=int, default=1, metavar="N",
-                       help="timed runs per measurement; all samples are "
-                            "kept for statistics (default: 1; use >= 5 "
-                            "for significance testing)")
-    bench.add_argument("--compare", default=None, metavar="PATH",
-                       help="compare against a baseline bench JSON and "
-                            "exit 1 on a statistically significant "
-                            "slowdown (same-machine baselines only)")
-    bench.add_argument("--threshold", type=float, default=1.10,
-                       metavar="RATIO",
-                       help="mean-ratio floor a slowdown must exceed to "
-                            "count as a regression (default: 1.10)")
-    bench.add_argument("--alpha", type=float, default=0.05, metavar="P",
-                       help="significance level for the Mann-Whitney "
-                            "test (default: 0.05)")
-    bench.add_argument("--seed", action="store_true",
-                       help="also time the frozen reference engine")
-    bench.set_defaults(func=_cmd_bench)
-
     serve = sub.add_parser(
         "serve",
         parents=[p["json"], p["jobs"], p["cache_dir"], p["no_cache"]],
@@ -1169,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[p["json"], p["cache_dir"]],
         help="inspect or clear the unified result store",
         description="Summarize (stats) or empty (clear) the cross-run "
-        "result store shared by simulate/bench/serve/harness: one "
+        "result store shared by simulate/serve/harness/campaign: one "
         "whole-network run entry per simulated run.",
     )
     cache.add_argument("action", choices=("stats", "clear"),

@@ -12,8 +12,7 @@ wave scaling to the full chip:
 * :mod:`repro.gpu.sm` -- the SM issue loop with full stall attribution
   (Figure 7): the engine every simulation runs.
 * :mod:`repro.gpu.seed_engine` -- the frozen original loop, kept as the
-  bit-identity oracle that tests and ``repro bench --seed`` call
-  directly.
+  bit-identity oracle that the tests call directly.
 * :mod:`repro.gpu.engine` -- the engine's version string (folded into
   every result-store key) and its wave class.
 * :mod:`repro.gpu.simulator` -- kernel- and network-level drivers with

@@ -5,8 +5,7 @@ loop over pre-decoded instructions with all three warp policies
 inlined and a vectorized L2 warm front (``ENGINE_VERSION = "fast-3"``).
 The frozen seed engine in :mod:`repro.gpu.seed_engine` is not
 selectable: it is the bit-identity oracle that
-``tests/test_engine_equivalence.py`` and ``repro bench --seed`` call
-directly.
+``tests/test_engine_equivalence.py`` calls directly.
 
 :func:`engine_version` is folded into every stored run's content key
 (:mod:`repro.runs.spec`, :mod:`repro.runs.store`), so an engine bump

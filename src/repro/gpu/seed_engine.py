@@ -10,9 +10,9 @@ same ``simulate_kernel`` / ``simulate_network`` signatures.
 
 ``tests/test_engine_equivalence.py`` runs both engines over suite
 networks and asserts the resulting :class:`KernelStats` match exactly.
-Nothing outside the tests (and ``repro bench --seed``) should import
-this module; it is deliberately slow.  No simulation run can select
-it, so nothing it returns reaches the result store.
+Nothing outside the tests should import this module; it is
+deliberately slow.  No simulation run can select it, so nothing it
+returns reaches the result store.
 """
 
 from __future__ import annotations

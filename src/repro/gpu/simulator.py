@@ -407,6 +407,13 @@ def simulate_network(
     *l1_memo*, when given with *dedup*, is an :class:`L1Memo` shared
     across calls: a kernel whose wave it serves from another L1D size
     traces with ``source="l1_reuse"``.
+
+    With a tracer installed, each launch records one kernel span on the
+    network's cycle timeline.  Its args carry the launch's ``category``,
+    its ``source`` (``fresh``, ``local`` or ``l1_reuse``) and
+    ``host_s``: the host wall seconds of the launch's loop iteration
+    (signature, then simulation or local copy), so a trace shows where
+    a run's host time goes beside where its simulated cycles go.
     """
     options = options or SimOptions()
     tracer = get_tracer()
@@ -417,6 +424,7 @@ def simulate_network(
         l1_memo = None
     offset = 0.0  # back-to-back network timeline position, in cycles
     for kernel in compiled_network(name):
+        start = tracer.wall()
         signature = kernel.signature()
         hit = local.get(signature) if dedup else None
         if hit is None:
@@ -441,7 +449,11 @@ def simulate_network(
             tracer.span(
                 kernel.name, "kernel", CYCLES, offset, hit.stats.cycles,
                 process="gpu.network", thread=f"{name}@{config.name}",
-                args={"category": hit.category, "source": source},
+                args={
+                    "category": hit.category,
+                    "source": source,
+                    "host_s": tracer.wall() - start,
+                },
             )
             tracer.metrics.counter(f"gpu.kernel_{source}").inc()
             offset += hit.stats.cycles

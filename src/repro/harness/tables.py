@@ -229,7 +229,7 @@ def _table4_checks(view: RunView, series: dict) -> list[Check]:
     ]
 
 
-TABLE1 = register(
+register(
     Experiment(
         exp_id="table1",
         title="Input/Output and Pre-trained Models",
@@ -239,7 +239,7 @@ TABLE1 = register(
     )
 )
 
-TABLE2 = register(
+register(
     Experiment(
         exp_id="table2",
         title="GPU architectures used for evaluation",
@@ -249,7 +249,7 @@ TABLE2 = register(
     )
 )
 
-TABLE3 = register(
+register(
     Experiment(
         exp_id="table3",
         title="Network Configuration and SRAM Usage",
@@ -261,7 +261,7 @@ TABLE3 = register(
     )
 )
 
-TABLE4 = register(
+register(
     Experiment(
         exp_id="table4",
         title="FPGA platform used for evaluation",

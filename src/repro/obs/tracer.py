@@ -17,9 +17,11 @@ trace pids/tids at export time.
 
 The disabled path is the design center: :data:`NULL_TRACER` is a
 singleton whose ``enabled`` attribute is a class-level ``False``, and
-every instrumentation site reduces to one attribute check — no method
-calls, no allocations — so simulation numbers (``BENCH_sim.json``) are
-unaffected when tracing is off.
+every instrumentation site reduces to one attribute check (or a
+:meth:`~NullTracer.wall` call that returns 0.0) with no allocations,
+so nothing is retained when tracing is off.  Recording never feeds
+back into a simulation: results are bit-identical with the tracer on
+or off.
 """
 
 from __future__ import annotations

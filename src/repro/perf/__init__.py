@@ -1,10 +1,10 @@
-"""Performance infrastructure: benchmarking over the result store.
+"""Performance infrastructure: small-sample statistics for timings.
 
-* :mod:`repro.perf.bench` — the ``repro bench`` harness timing cold
-  whole-network simulations and warm run-entry reads (emits
-  ``BENCH_sim.json``).
 * :mod:`repro.perf.stats` — sample summaries and the one-sided
-  Mann-Whitney test behind ``repro bench --compare``.
+  Mann-Whitney rank test that compares a parent's timings with a
+  change's, taken as alternating pairs of benchmark runs.
 
-The result store itself lives in :mod:`repro.runs.store`.
+Per-kernel host time comes from the tracer (``repro trace simulate
+NET``); workload timings come from ``python3 tangobench/run.py``.  The
+result store itself lives in :mod:`repro.runs.store`.
 """

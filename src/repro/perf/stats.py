@@ -1,8 +1,8 @@
-"""Small-sample statistics for the benchmark harness.
+"""Small-sample statistics for comparing two sets of timings.
 
 Everything here is hand-implemented over plain floats — no scipy — and
-sized for the regime ``repro bench --runs N`` actually produces: a
-handful (3–20) of wall-clock timings per network.
+sized for the regime alternating benchmark pairs produce: a handful
+(3–20) of wall-clock timings per side, parent against change.
 
 * :func:`summarize` — mean, sample standard deviation and a 95 %
   confidence interval on the mean (Student t, two-sided).
@@ -10,15 +10,15 @@ handful (3–20) of wall-clock timings per network.
   stochastically *greater* than sample A?) via the normal approximation
   with tie correction.  Rank-based, so a single outlier timing cannot
   fake or mask a regression the way a t-test's mean can.
-* :func:`compare_samples` — the regression verdict used by
-  ``repro bench --compare``: *slower* only when the mean ratio exceeds
-  a threshold **and** the U test finds the shift significant.
+* :func:`compare_samples` — the regression verdict: *slower* only
+  when the mean ratio exceeds a threshold **and** the U test finds the
+  shift significant.
 
 With fewer than 3 runs per side the U statistic cannot reach
 ``p < 0.05`` (perfect 2-vs-2 separation floors at p ~ 0.12), so
 :func:`compare_samples` degrades to a ratio-only check for
 single-sample baselines and says so in its verdict — callers that want
-robust significance should pass ``--runs 5`` or more.
+robust significance should take 5 or more samples per side.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.config import GpuConfig, SimOptions
-from repro.gpu.simulator import NetworkResult, simulate_network
+from repro.gpu.simulator import NetworkResult
 from repro.profiling.stall import FIGURE7_ORDER, StallReason
 
 
@@ -30,20 +29,12 @@ class StallProfile:
         return max(self.fractions, key=lambda r: self.fractions[r])
 
 
-def profile_network(
-    name: str, config: GpuConfig, options: SimOptions | None = None
-) -> tuple[list[StallProfile], StallProfile]:
-    """Profile one network: per-layer-type profiles plus the summary.
+def profiles_from_result(result: NetworkResult) -> tuple[list[StallProfile], StallProfile]:
+    """Build stall profiles from an existing simulation result.
 
     Returns ``(per_category, whole_network)`` where categories appear in
     kernel invocation order, as the paper's Figure 7 lays them out.
     """
-    result = simulate_network(name, config, options)
-    return profiles_from_result(result)
-
-
-def profiles_from_result(result: NetworkResult) -> tuple[list[StallProfile], StallProfile]:
-    """Build stall profiles from an existing simulation result."""
     per_category: list[StallProfile] = []
     for category, stats in result.stats_by_category().items():
         fractions = stats.stall_fractions()

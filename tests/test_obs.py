@@ -188,6 +188,26 @@ class TestGpuSpans:
             offset += kr.stats.cycles
         assert not any(s.cat == "stall" for s in tracer.spans)
 
+    def test_kernel_spans_carry_host_seconds(self, light_options):
+        from repro.kernels.compile import compiled_network
+        from repro.platforms import make_config
+        from repro.runs import Executor, RunSpec
+
+        # Compiling runs once per process, before the first launch and
+        # inside no kernel span; compile first so the run times launches.
+        launches = compiled_network("squeezenet")
+        with capture_trace(warps=False) as tracer:
+            Executor().run(RunSpec("squeezenet", make_config("gp102"), light_options))
+        kernels = [s for s in tracer.spans if s.cat == "kernel"]
+        (run,) = [s for s in tracer.spans if s.cat == "run"]
+        assert len(kernels) == len(launches)
+        host_s = [span.args["host_s"] for span in kernels]
+        assert all(seconds >= 0.0 for seconds in host_s)
+        # The launches' loop iterations lie inside the run's wall span
+        # and cover nearly all of it; payload encoding and span
+        # bookkeeping take the rest.
+        assert 0.95 * run.dur <= sum(host_s) <= run.dur
+
     def test_warp_phases_nest_inside_warp_life(self, light_options):
         from repro.gpu.simulator import simulate_network
         from repro.platforms import make_config

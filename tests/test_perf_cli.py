@@ -1,5 +1,5 @@
-"""Tests for the ``repro simulate`` and ``repro bench`` subcommands,
-and the small-sample statistics behind ``repro bench --compare``."""
+"""Tests for the ``repro simulate`` subcommand and the small-sample
+statistics in :mod:`repro.perf.stats`."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.perf.bench import compare_bench
 from repro.perf.stats import compare_samples, mann_whitney_u, summarize
 
 
@@ -64,111 +63,6 @@ class TestSimulateCli:
         assert "unknown network" in capsys.readouterr().err
 
 
-class TestBenchCli:
-    def test_writes_bench_json(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_sim.json"
-        exit_code = main([
-            "bench", "gru", "--fidelity", "light",
-            "--output", str(out_path),
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
-        assert exit_code == 0
-        payload = json.loads(out_path.read_text())
-        entry = payload["gru"]
-        assert entry["cold_s"] > 0
-        assert entry["run_warm_s"] > 0
-        assert entry["kernels"] > 0
-        assert entry["engine_version"]
-
-    def test_seed_timing_included_on_request(self, tmp_path):
-        out_path = tmp_path / "bench.json"
-        exit_code = main([
-            "bench", "gru", "--fidelity", "light", "--seed",
-            "--output", str(out_path),
-        ])
-        assert exit_code == 0
-        assert json.loads(out_path.read_text())["gru"]["seed_s"] > 0
-
-    def test_unknown_network_rejected(self, capsys):
-        assert main(["bench", "nonesuch", "--fidelity", "light"]) == 2
-        assert "unknown network" in capsys.readouterr().err
-
-    def test_runs_records_samples_and_stats(self, tmp_path):
-        out_path = tmp_path / "bench.json"
-        exit_code = main([
-            "bench", "gru", "--fidelity", "light", "--runs", "3",
-            "--output", str(out_path),
-        ])
-        assert exit_code == 0
-        entry = json.loads(out_path.read_text())["gru"]
-        assert set(entry["samples"]) == {"cold", "run_warm"}
-        for series in ("cold", "run_warm"):
-            assert len(entry["samples"][series]) == 3
-        assert entry["cold_s"] == min(entry["samples"]["cold"])
-        assert entry["cold_mean_s"] >= entry["cold_s"]
-        assert entry["cold_std_s"] >= 0
-        assert entry["cold_ci95_s"] >= 0
-        assert "engine" not in entry
-        assert entry["engine_version"] == "fast-3"
-
-    def test_compare_against_self_passes(self, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert main([
-            "bench", "gru", "--fidelity", "light", "--runs", "5",
-            "--output", str(out_path),
-        ]) == 0
-        # Re-benching against the just-written baseline on the same
-        # machine must not flag a regression.
-        assert main([
-            "bench", "gru", "--fidelity", "light", "--runs", "5",
-            "--output", str(tmp_path / "again.json"),
-            "--compare", str(out_path),
-            "--threshold", "2.0",  # generous: CI runners are noisy
-        ]) == 0
-
-    def test_compare_flags_regression(self, capsys, tmp_path):
-        # A fabricated baseline 1000x faster than reality forces a
-        # statistically significant slowdown -> exit 1.
-        baseline = {
-            "gru": {
-                "cold_s": 1e-6,
-                "samples": {"cold": [1e-6, 1.1e-6, 0.9e-6, 1.05e-6, 0.95e-6]},
-                "engine_version": "fast-3",
-            }
-        }
-        base_path = tmp_path / "baseline.json"
-        base_path.write_text(json.dumps(baseline))
-        exit_code = main([
-            "bench", "gru", "--fidelity", "light", "--runs", "5",
-            "--output", str(tmp_path / "bench.json"),
-            "--compare", str(base_path),
-        ])
-        assert exit_code == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "significantly slower" in captured.err
-
-    def test_compare_reads_baseline_before_overwriting_it(self, capsys, tmp_path):
-        # --compare and --output naming one file: the verdict must use
-        # the baseline's samples, not the run just written over them.
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({
-            "gru": {
-                "cold_s": 1e-6,
-                "samples": {"cold": [1e-6, 1.1e-6, 0.9e-6, 1.05e-6, 0.95e-6]},
-                "engine_version": "fast-3",
-            }
-        }))
-        exit_code = main([
-            "bench", "gru", "--fidelity", "light", "--runs", "5",
-            "--output", str(path), "--compare", str(path),
-        ])
-        assert exit_code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        # The fresh run still replaced the baseline on disk.
-        assert json.loads(path.read_text())["gru"]["cold_s"] > 1e-3
-
-
 class TestStats:
     def test_summarize_single_sample(self):
         stats = summarize([2.5])
@@ -222,29 +116,6 @@ class TestStats:
         assert verdict["slower"]
         assert not compare_samples([1.0], [1.05])["slower"]
 
-    def test_compare_bench_payloads(self):
-        def entry(samples):
-            return {
-                "cold_s": min(samples),
-                "samples": {"cold": samples},
-                "engine_version": "x",
-            }
-
-        baseline = {
-            "gru": entry([1.0, 1.1, 0.9, 1.05, 0.95]),
-            "lstm": entry([1.0, 1.1, 0.9, 1.05, 0.95]),
-            "only_base": entry([1.0]),
-        }
-        candidate = {
-            "gru": entry([3.0, 3.1, 2.9, 3.05, 2.95]),  # regressed
-            "lstm": entry([1.0, 1.1, 0.9, 1.05, 0.95]),  # unchanged
-            "only_cand": entry([1.0]),
-        }
-        report = compare_bench(baseline, candidate)
-        assert report["regressions"] == ["gru"]
-        assert not report["networks"]["lstm"]["slower"]
-        assert sorted(report["skipped"]) == ["only_base", "only_cand"]
-
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "gru", "--engine", "fast"],
@@ -254,6 +125,7 @@ class TestStats:
     ["bench", "--serve"],
     ["simulate", "gru", "--fidelity", "light", "--no-cache", "--engine", "seed"],
     ["simulate", "gru", "--light", "--no-cache"],
+    ["bench", "gru"],
 ])
 def test_removed_options_are_rejected(capsys, argv):
     # Selectors of deleted engines, loops, gates and benches, and the
@@ -261,3 +133,12 @@ def test_removed_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["trace", "simulate"]],
+                         ids=["simulate", "trace-simulate"])
+def test_unknown_platform_is_a_one_line_error(capsys, command):
+    assert main(command + ["gru", "--platform", "nonesuch", "--no-cache"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: unknown platform 'nonesuch'; available: ")

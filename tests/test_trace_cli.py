@@ -57,6 +57,27 @@ class TestTraceSimulate:
         cats = {e.get("cat") for e in payload["traceEvents"]}
         assert "kernel" in cats and "stall" not in cats
 
+    def test_prints_kernel_host_time_table(self, capsys, tmp_path):
+        out = tmp_path / "trace.json"
+        argv = ["trace", "simulate", "squeezenet", "--fidelity", "light",
+                "--no-warps", "--no-cache", "--output", str(out)]
+        # Host seconds are wall clock: on a shared host, one preempted
+        # launch can outrank pool10 in a single run, so allow three runs.
+        for _ in range(3):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith(f"wrote {out}")
+            header = lines.index(next(line for line in lines if line.startswith("kernel ")))
+            assert lines[header - 1].startswith("squeezenet on GP102: 31 kernels")
+            rows = [line.split() for line in lines[header + 1:]]
+            assert len(rows) == 31
+            host_ms = [float(row[-2]) for row in rows]
+            assert host_ms == sorted(host_ms, reverse=True)
+            if rows[0][0] == "pool10":
+                break
+        # SqueezeNet's single-block pool10 costs the most host time.
+        assert rows[0][:3] == ["pool10", "Pooling", "fresh"]
+
     def test_json_prints_payload_to_stdout(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
         assert main(["trace", "simulate", "gru", "--fidelity", "light", "--no-cache",
