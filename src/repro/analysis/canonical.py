@@ -182,6 +182,17 @@ def simulated_block_coords(
     )
 
 
+def _program_digest(launch: KernelLaunch) -> str:
+    """SHA-256 hex digest of the launch's canonical program, cached on
+    the launch as :func:`canonical_signature` caches its digest."""
+    cached = getattr(launch, "_program_digest", None)
+    if cached is None:
+        payload = repr(_canonical_program(launch.program, _base_renamer(launch))).encode()
+        cached = hashlib.sha256(payload).hexdigest()
+        launch._program_digest = cached
+    return cached
+
+
 def wave_class(launch: KernelLaunch, sim_blocks: int, warm: bool) -> tuple:
     """Grid-free identity of one resident-wave simulation.
 
@@ -191,6 +202,8 @@ def wave_class(launch: KernelLaunch, sim_blocks: int, warm: bool) -> tuple:
     produce identical unscaled wave statistics and hierarchy counters.
     Everything grid-dependent (block scaling, wave count, launch
     overhead) happens in the per-launch scaling step outside the class.
+    The program enters as the digest of its canonical form, so a class
+    is a small tuple and a launch builds its canonical program once.
     """
     return (
         CANONICAL_VERSION,
@@ -201,5 +214,5 @@ def wave_class(launch: KernelLaunch, sim_blocks: int, warm: bool) -> tuple:
         simulated_block_coords(launch.grid, sim_blocks),
         bool(warm),
         tuple(r.size_bytes for r in launch.regions),
-        _canonical_program(launch.program, _base_renamer(launch)),
+        _program_digest(launch),
     )

@@ -59,7 +59,7 @@ PASS = "netflow"
 
 #: Canonical slot index of a region base (memory_layout slot stride).
 _SLOT_SHIFT = 30
-_SLOT_INPUT, _SLOT_WEIGHT, _SLOT_OUTPUT, _SLOT_SCRATCH = 1, 2, 3, 4
+_SLOT_INPUT, _SLOT_OUTPUT, _SLOT_SCRATCH = 1, 3, 4
 
 #: Graph-level name of the network input feeding the first layer.
 GRAPH_INPUT = "input"

@@ -141,6 +141,18 @@ class DecodedProgram:
         self._cparts = {}
         self._clines = {}
 
+    def trim(self) -> None:
+        """Drop the caches a kept program need not carry to its next wave.
+
+        The pc-keyed caches and ``_cparts`` refill from ``_clines``
+        (or recompute) on demand, so dropping them changes no result;
+        ``_clines`` is the one cache that saves its next wave real work
+        for its memory (DESIGN.md section 8).
+        """
+        self._tparts = {}
+        self._tlines = {}
+        self._cparts = {}
+
     def thread_part(self, pc: int, gmem: GMem, warp) -> tuple:
         """Deduplicated thread-term address components for *warp*.
 

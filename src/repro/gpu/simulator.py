@@ -31,7 +31,9 @@ are bit-identical on every suite network.
 A third level spans calls: an :class:`L1Memo` (owned by the run
 executor) lets a wave that never evicted an L1 line serve the same
 launch at every other non-zero L1D size its footprint fits, since the
-wave then replays bit-identically there (DESIGN.md section 8).
+wave then replays bit-identically there (DESIGN.md section 8).  The
+memo also keeps decoded programs between consecutive runs of one
+network at the same loop budgets.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ import pickle
 from dataclasses import dataclass, field, replace
 
 from repro.gpu.config import GpuConfig, SimOptions
-from repro.gpu.decode import decode_program
+from repro.gpu.decode import DecodedProgram, decode_program
 from repro.gpu.occupancy import Occupancy, compute_occupancy
 from repro.gpu.sm import SmWave
+from repro.gpu.warp import lane_geometry
 from repro.isa.program import expand_program
 from repro.kernels.compile import compiled_network
 from repro.kernels.launch import KernelLaunch
@@ -236,9 +239,11 @@ class L1Memo:
     replay bit-identically; DESIGN.md section 8 gives the argument.
 
     Entries are keyed by the launch signature, the config with
-    ``l1_size`` zeroed and the options — never by a wave-class tuple,
-    which would pin the canonical program in memory.  The engine is not
-    part of the key: :class:`~repro.gpu.sm.SmWave` is the only engine a
+    ``l1_size`` zeroed and the options.  A wave class would serve
+    launches that differ only in grid, but each ``simulate_network``
+    call's wave cache serves those before the memo is asked, and the
+    signature is already cached on the launch.  The engine is not part
+    of the key: :class:`~repro.gpu.sm.SmWave` is the only engine a
     simulation runs.
     Each entry is its run pickled into one bytes object: a live
     ``_WaveRun`` is some thirty small objects (stats, counters, floats),
@@ -247,14 +252,37 @@ class L1Memo:
     lives as long as its owner (an :class:`~repro.runs.executor.Executor`
     or one parallel chunk); a bypassed (0 KB) L1 neither records nor
     reuses, and ``simulate_network(dedup=False)`` never consults it.
+
+    The memo also carries decoded programs from one run to the next
+    (:attr:`programs`), keyed by the launch signature and the two loop
+    budgets, the only options expansion reads.  No config reaches
+    decode, so an L1D or scheduler sweep over one network decodes each
+    kernel once.  The owner sets :attr:`keep_programs` before each run,
+    true only when its next run is the same network at the same
+    budgets, and a run that does not keep them drops them all at its
+    end (:meth:`drop_programs`, called by
+    :func:`repro.runs.executor._simulate_spec`).
     """
 
-    __slots__ = ("_runs", "reused")
+    __slots__ = ("_runs", "reused", "programs", "keep_programs")
 
     def __init__(self) -> None:
         self._runs: dict[tuple, bytes] = {}
         #: Waves served from a run at another L1D size.
         self.reused = 0
+        #: (signature, max_trips, max_outer_trips) -> (expanded length,
+        #: :class:`~repro.gpu.decode.DecodedProgram`); a kept program
+        #: is trimmed after each of its waves.
+        self.programs: dict[tuple, tuple[int, DecodedProgram]] = {}
+        #: Whether programs decoded in the current run are kept for the
+        #: next one.
+        self.keep_programs = False
+
+    def drop_programs(self) -> None:
+        """Drop the kept programs and the process-wide lane geometries
+        (:func:`repro.gpu.warp.lane_geometry`) their waves shared."""
+        self.programs.clear()
+        lane_geometry.cache_clear()
 
     @staticmethod
     def key(kernel: KernelLaunch, config: GpuConfig, options: SimOptions) -> tuple:
@@ -279,19 +307,39 @@ class L1Memo:
             self._runs[key] = pickle.dumps(run, pickle.HIGHEST_PROTOCOL)
 
 
+def _program(
+    kernel: KernelLaunch, options: SimOptions, memo: L1Memo | None
+) -> tuple[int, DecodedProgram]:
+    """Expanded length and decoded program of *kernel*, from *memo*
+    when an earlier run of the sweep kept them."""
+    key = (kernel.signature(), options.max_trips, options.max_outer_trips)
+    entry = memo.programs.get(key) if memo is not None else None
+    if entry is not None:
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.metrics.counter("gpu.program_reused").inc()
+        return entry
+    expanded = expand_program(kernel.program, options.max_trips, options.max_outer_trips)
+    entry = len(expanded), decode_program(expanded)
+    if memo is not None and memo.keep_programs:
+        memo.programs[key] = entry
+    return entry
+
+
 def _run_wave(
     kernel: KernelLaunch, config: GpuConfig, options: SimOptions, sim_blocks: int,
-    keep_l1_lines: bool = False,
+    keep_l1_lines: bool = False, memo: L1Memo | None = None,
 ) -> _WaveRun:
     """Expand, decode and execute one resident wave on one SM."""
-    expanded = expand_program(kernel.program, options.max_trips, options.max_outer_trips)
-    decoded = decode_program(expanded)
+    n_expanded, decoded = _program(kernel, options, memo)
     hierarchy = _make_hierarchy(config)
     wave = SmWave(kernel, decoded, _GUARD_DECODED, sim_blocks, config, options, hierarchy)
     if kernel.shared_input and kernel.total_blocks > sim_blocks:
         wave.warm_shared_input()
     stats = wave.run()
-    return _WaveRun(stats, len(expanded), hierarchy, keep_l1_lines)
+    if memo is not None and memo.keep_programs:
+        decoded.trim()
+    return _WaveRun(stats, n_expanded, hierarchy, keep_l1_lines)
 
 
 def simulate_kernel(
@@ -310,6 +358,8 @@ def simulate_kernel(
     callers own that scoping.  *_l1_memo* (internal) is consulted when
     the wave cache misses and records eviction-free runs; it scopes
     itself by key, so one memo serves any mix of configs and options.
+    A wave that runs takes its decoded program from the memo when the
+    sweep kept it.
     """
     options = options or SimOptions()
     occupancy = compute_occupancy(kernel, config)
@@ -336,7 +386,8 @@ def simulate_kernel(
                     tracer.metrics.counter("gpu.wave_l1_reused").inc()
         if run is None:
             run = _run_wave(
-                kernel, config, options, sim_blocks, keep_l1_lines=memo_key is not None
+                kernel, config, options, sim_blocks,
+                keep_l1_lines=memo_key is not None, memo=_l1_memo,
             )
             if memo_key is not None:
                 _l1_memo.put(memo_key, run)
@@ -409,11 +460,13 @@ def simulate_network(
     traces with ``source="l1_reuse"``.
 
     With a tracer installed, each launch records one kernel span on the
-    network's cycle timeline.  Its args carry the launch's ``category``,
-    its ``source`` (``fresh``, ``local`` or ``l1_reuse``) and
-    ``host_s``: the host wall seconds of the launch's loop iteration
-    (signature, then simulation or local copy), so a trace shows where
-    a run's host time goes beside where its simulated cycles go.
+    run's cycle timeline, a track named by the network, platform, L1D
+    size and scheduler (``gru@GP102 l1=64K gto``).  Its args carry the
+    launch's ``category``, its ``source`` (``fresh``, ``local`` or
+    ``l1_reuse``) and ``host_s``: the host wall seconds of the launch's
+    loop iteration (signature, then simulation or local copy), so a
+    trace shows where a run's host time goes beside where its simulated
+    cycles go.
     """
     options = options or SimOptions()
     tracer = get_tracer()
@@ -423,6 +476,8 @@ def simulate_network(
     if not dedup:
         l1_memo = None
     offset = 0.0  # back-to-back network timeline position, in cycles
+    # One track per run: a sweep keeps the platform's name.
+    track = f"{name}@{config.name} l1={config.l1_size // 1024}K {options.scheduler}"
     for kernel in compiled_network(name):
         start = tracer.wall()
         signature = kernel.signature()
@@ -448,7 +503,7 @@ def simulate_network(
         if tracer.enabled:
             tracer.span(
                 kernel.name, "kernel", CYCLES, offset, hit.stats.cycles,
-                process="gpu.network", thread=f"{name}@{config.name}",
+                process="gpu.network", thread=track,
                 args={
                     "category": hit.category,
                     "source": source,

@@ -11,9 +11,18 @@ and dense, and the issue loop probes the scoreboard millions of times
 per kernel.  Unwritten registers read as ready-at-0 with an ALU
 producer, exactly matching the seed engine's ``dict.get(index, 0)``
 semantics (entry registers are ready at cycle 0 as well).
+
+Lane symbols depend only on the block dims, the warp's first lane and
+the active thread count, so :func:`lane_geometry` computes them once
+per geometry as read-only arrays that every warp of that geometry
+shares.  The cache spans waves and runs; an L1D sweep's memo clears it
+with its decoded programs (:meth:`repro.gpu.simulator.L1Memo.drop_programs`).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,6 +32,33 @@ from repro.kernels.launch import WARP_SIZE
 KIND_ALU = 0
 KIND_MEM = 1
 KIND_CONST = 2
+
+
+@lru_cache(maxsize=None)
+def lane_geometry(
+    block_dims: tuple[int, int, int], lane_start: int, active_threads: int
+) -> tuple[MappingProxyType, np.ndarray, int]:
+    """Lane symbols, active-lane mask and active count of one warp.
+
+    The mapping and its arrays are read-only: every warp of the same
+    geometry, in any wave, shares them.
+    """
+    bx_dim, by_dim, _ = block_dims
+    lanes = np.arange(lane_start, lane_start + WARP_SIZE, dtype=np.int64)
+    threads_per_block = block_dims[0] * block_dims[1] * block_dims[2]
+    active = lanes < min(active_threads, threads_per_block)
+    # Clip out-of-block lanes to the last valid thread so address
+    # evaluation stays in range; they are masked from memory anyway.
+    clipped = np.minimum(lanes, threads_per_block - 1)
+    syms = {
+        "tx": clipped % bx_dim,
+        "ty": (clipped // bx_dim) % by_dim,
+        "tz": clipped // (bx_dim * by_dim),
+        "lin_tid": clipped,
+    }
+    for array in (active, *syms.values()):
+        array.flags.writeable = False
+    return MappingProxyType(syms), active, int(active.sum())
 
 
 class Warp:
@@ -118,19 +154,9 @@ class Warp:
         #: wave and attached by ``SmWave.run`` (:mod:`repro.gpu.sm`).
         self.ptx = None
 
-        bx_dim, by_dim, _ = block_dims
-        lanes = np.arange(lane_start, lane_start + WARP_SIZE, dtype=np.int64)
-        threads_per_block = block_dims[0] * block_dims[1] * block_dims[2]
-        active = lanes < min(active_threads, threads_per_block)
-        self.active_lanes = active
-        self.n_active = int(active.sum())
-        # Clip out-of-block lanes to the last valid thread so address
-        # evaluation stays in range; they are masked from memory anyway.
-        clipped = np.minimum(lanes, threads_per_block - 1)
-        tx = clipped % bx_dim
-        ty = (clipped // bx_dim) % by_dim
-        tz = clipped // (bx_dim * by_dim)
-        self.lane_syms = {"tx": tx, "ty": ty, "tz": tz, "lin_tid": clipped}
+        self.lane_syms, self.active_lanes, self.n_active = lane_geometry(
+            block_dims, lane_start, active_threads
+        )
         gx, gy, _ = grid_dims
         cx, cy, cz = block_coords
         self.block_syms = {

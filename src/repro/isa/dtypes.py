@@ -24,11 +24,6 @@ class DType(enum.Enum):
     NONE = "none"
 
     @property
-    def bits(self) -> int:
-        """Width of the type in bits (predicates count as 1)."""
-        return _BITS[self]
-
-    @property
     def is_float(self) -> bool:
         """True for floating-point types."""
         return self is DType.F32
@@ -40,14 +35,3 @@ class DType(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-_BITS = {
-    DType.F32: 32,
-    DType.U32: 32,
-    DType.U16: 16,
-    DType.S32: 32,
-    DType.S16: 16,
-    DType.PRED: 1,
-    DType.NONE: 0,
-}

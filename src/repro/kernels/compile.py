@@ -34,6 +34,7 @@ from repro.kernels import builders
 from repro.kernels.launch import KernelLaunch
 from repro.kernels.mapping import KernelPlan, plan_network
 from repro.kernels.validate import validate_launch_symbols
+from repro.obs.tracer import WALL_S, get_tracer
 
 
 def _lower(plan: KernelPlan, graph: NetworkGraph) -> builders.BuiltKernel:
@@ -156,5 +157,18 @@ def compile_network(graph: NetworkGraph, verify: bool = False) -> list[KernelLau
 
 @lru_cache(maxsize=None)
 def compiled_network(name: str, verify: bool = False) -> tuple[KernelLaunch, ...]:
-    """Compile (and cache) the named suite network."""
-    return tuple(compile_network(get_network(name), verify=verify))
+    """Compile (and cache) the named suite network.
+
+    With a tracer installed, each compile (a cache miss) records one
+    ``compile <name>`` wall-clock span on the ``kernels`` track, so a
+    run that compiles its network accounts for that time.
+    """
+    tracer = get_tracer()
+    start = tracer.wall()
+    launches = tuple(compile_network(get_network(name), verify=verify))
+    if tracer.enabled:
+        tracer.span(
+            f"compile {name}", "compile", WALL_S, start, tracer.wall() - start,
+            process="kernels", thread="compiler",
+        )
+    return launches

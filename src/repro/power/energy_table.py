@@ -20,7 +20,8 @@ class EnergyTable:
 
     Component keys follow the paper's Figure 5 legend: IB, IC, DC, TC,
     CC, SHRD, RF, SP, SFU, FPU, SCHED, L2C, MC, NOC, DRAM, PIPE,
-    IDLE_CORE, CONST_DYNAMIC.
+    IDLE_CORE, CONST_DYNAMIC.  TC, the texture cache, has no entry:
+    the suite uses no texture memory, so its energy is always 0.0.
     """
 
     #: Instruction buffer read per issued instruction.
@@ -29,8 +30,6 @@ class EnergyTable:
     ic_pj: float = 72.0
     #: L1 data cache access.
     dc_pj: float = 480.0
-    #: Texture cache access (the suite does not use texture memory).
-    tc_pj: float = 270.0
     #: Constant cache access.
     cc_pj: float = 120.0
     #: Shared-memory access.

@@ -20,10 +20,6 @@ class StallProfile:
     scope: str
     fractions: dict[StallReason, float]
 
-    def fraction(self, reason: StallReason) -> float:
-        """Share of stall cycles attributed to *reason*."""
-        return self.fractions.get(reason, 0.0)
-
     def top_reason(self) -> StallReason:
         """The dominant stall reason."""
         return max(self.fractions, key=lambda r: self.fractions[r])

@@ -84,7 +84,9 @@ class Executor:
     ``store=None`` keeps results in memory only (no disk IO) — used by
     ``--no-cache`` runs and unit tests.  The executor owns one
     :class:`~repro.gpu.simulator.L1Memo`, so its fresh runs at different
-    L1D sizes share eviction-free wave simulations.
+    L1D sizes share eviction-free wave simulations, and
+    :meth:`execute` keeps decoded programs from one pending run to the
+    next while both are the same network at the same loop budgets.
     """
 
     def __init__(self, store: ResultStore | None = None, verbose: bool = False) -> None:
@@ -170,7 +172,8 @@ class Executor:
         if jobs > 1 and len(pending) > 1:
             failed = self._execute_parallel(pending, jobs)
         else:
-            for spec in pending:
+            for spec, after in zip(pending, [*pending[1:], None]):
+                self.l1_memo.keep_programs = _shares_programs(spec, after)
                 try:
                     self.run(spec)
                 except Exception as exc:  # surfaced per-run, not raised
@@ -302,11 +305,27 @@ def _failure_message(spec: RunSpec, exc: Exception) -> str:
     return f"{spec.describe()}: {type(exc).__name__}: {exc}"
 
 
+def _program_scope(spec: RunSpec | None) -> tuple | None:
+    """What a GPU run's decoded programs depend on: the network and the
+    two loop budgets.  None for no run or an accelerator run."""
+    if spec is None or spec.config.kind != "gpu":
+        return None
+    return spec.network, spec.options.max_trips, spec.options.max_outer_trips
+
+
+def _shares_programs(spec: RunSpec, after: RunSpec | None) -> bool:
+    """Whether the run after *spec* can reuse *spec*'s decoded programs."""
+    scope = _program_scope(spec)
+    return scope is not None and scope == _program_scope(after)
+
+
 def _simulate_spec(spec: RunSpec, l1_memo: L1Memo) -> dict:
     """One full network run, as a JSON-ready payload.
 
     GPU configs go through the cycle-level simulator; accelerator
     configs go through the tiling mapper's analytic execution model.
+    Unless the caller set ``l1_memo.keep_programs`` for this run, the
+    memo's decoded programs are dropped when it ends.
     """
     if spec.config.kind != "gpu":
         from repro.mapping.execute import run_mapped_network
@@ -315,7 +334,11 @@ def _simulate_spec(spec: RunSpec, l1_memo: L1Memo) -> dict:
         return result_to_payload(live)
     from repro.gpu.simulator import simulate_network
 
-    live = simulate_network(spec.network, spec.config, spec.options, l1_memo=l1_memo)
+    try:
+        live = simulate_network(spec.network, spec.config, spec.options, l1_memo=l1_memo)
+    finally:
+        if not l1_memo.keep_programs:
+            l1_memo.drop_programs()
     return result_to_payload(live)
 
 
@@ -324,12 +347,15 @@ def _simulate_chunk_worker(specs: Sequence[RunSpec]) -> list[tuple]:
 
     Returns one ``(payload, None)`` or ``(None, "ErrType: message")``
     pair per spec, aligned with the input order.  The chunk's specs
-    share one :class:`~repro.gpu.simulator.L1Memo`.  The worker opens no
-    store: the parent writes every run entry.
+    share one :class:`~repro.gpu.simulator.L1Memo`, which keeps decoded
+    programs while the next spec is the same network at the same loop
+    budgets.  The worker opens no store: the parent writes every run
+    entry.
     """
     l1_memo = L1Memo()
     outcomes: list[tuple] = []
-    for spec in specs:
+    for spec, after in zip(specs, [*specs[1:], None]):
+        l1_memo.keep_programs = _shares_programs(spec, after)
         try:
             outcomes.append((_simulate_spec(spec, l1_memo), None))
         except Exception as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 from repro.gpu.config import GpuConfig, SimOptions
 
@@ -47,13 +48,21 @@ def run_key(network: str, config: GpuConfig, options: SimOptions) -> str:
 
     Any change to any field of the config or options — or an engine
     bump — yields a new key, so stale entries are never looked up.
+    The engine version is read on every call; the digest is memoized
+    per (network, config, options, engine version), since planning,
+    execution and QoR ask for the same few keys thousands of times.
     """
     from repro.gpu.engine import engine_version
 
+    return _run_key(network, config, options, engine_version())
+
+
+@lru_cache(maxsize=4096)
+def _run_key(network: str, config: GpuConfig, options: SimOptions, engine: str) -> str:
     payload = json.dumps(
         {
             "kind": "network-run",
-            "engine": engine_version(),
+            "engine": engine,
             "network": network,
             "config": asdict(config),
             "options": asdict(options),

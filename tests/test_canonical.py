@@ -218,3 +218,32 @@ class TestWaveClass:
     def test_warm_flag_splits_the_class(self):
         launch = LAUNCHES[0]
         assert wave_class(launch, 1, True) != wave_class(launch, 1, False)
+
+    def test_program_change_splits_the_class(self):
+        launch, at = next(
+            (l, i) for l in LAUNCHES for i, item in enumerate(l.program.items)
+            if isinstance(item, Loop)
+        )
+        items = launch.program.items
+        loop = items[at]
+        bumped = items[:at] + (Loop(loop.var, loop.trips + 1, loop.body),) + items[at + 1:]
+        for changed_items in (items[1:], bumped):
+            program = Program(
+                items=changed_items,
+                reg_count=launch.program.reg_count,
+                entry_regs=launch.program.entry_regs,
+            )
+            changed = _rebuilt(launch, program=program)
+            assert wave_class(changed, 1, False) != wave_class(launch, 1, False)
+
+    def test_class_carries_a_cached_program_digest(self):
+        launch = _rebuilt(LAUNCHES[0])
+        digest = wave_class(launch, 1, False)[-1]
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert launch._program_digest == digest
+
+    def test_equal_suite_classes_have_equal_programs(self):
+        by_class: dict[tuple, tuple] = {}
+        for launch in LAUNCHES:
+            program = canonical_launch(launch)[-1]
+            assert by_class.setdefault(wave_class(launch, 1, False), program) == program
