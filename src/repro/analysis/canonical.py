@@ -31,9 +31,10 @@ perturbation of the geometry or the program structure lands in a
 different digest (`tests/test_canonical.py` property-tests both
 directions).  Kernel and tensor *names* are deliberately excluded (they
 never influence the simulated instruction or address stream), while
-region byte sizes are kept: under the canonical layout a region's
-concrete base is a function of the sizes allocated before it in its
-slot, so sizes are part of what pins the concrete address stream.
+the signature keeps region byte sizes: under the canonical layout a
+region's concrete base is a function of the sizes allocated before it
+in its slot, so sizes are part of what pins the concrete address
+stream.
 
 Why equal signatures imply bit-identical stats: the compiler places
 every kernel in its own canonical address space
@@ -50,12 +51,16 @@ the canonical layout makes this moot and the dedup equivalence test in
 ``tests/test_engine_equivalence.py`` pins it.
 
 :func:`wave_class` is a second, coarser identity used *within* one
-``simulate_network`` call: it drops the grid (keeping only the
+``simulate_network`` call.  It drops the grid (keeping only the
 coordinates of the blocks actually simulated, which is all the wave
-ever reads — ``lin_bid`` reconstructs the block index under any grid)
-so that, e.g., an element-wise kernel over a 56x56 map and the same
-kernel over a 28x28 map share one :class:`~repro.gpu.sm.SmWave` run
-and differ only in their cheap scaling step.
+ever reads — ``lin_bid`` reconstructs the block index under any grid),
+and it keys on the region *bases* instead of their sizes: the program
+digest plus the bases fix the concrete address stream, and no extent
+reaches the wave.  So one element-wise kernel over two map sizes shares
+one :class:`~repro.gpu.sm.SmWave` run and differs only in its cheap
+scaling step: ResNet's ``relu_res2a`` (256 channels) takes
+``relu_res2a_branch2a``'s wave (64 channels), and each stage's
+projection shortcut takes the wave of its first 1x1 reduction.
 """
 
 from __future__ import annotations
@@ -204,6 +209,11 @@ def wave_class(launch: KernelLaunch, sim_blocks: int, warm: bool) -> tuple:
     overhead) happens in the per-launch scaling step outside the class.
     The program enters as the digest of its canonical form, so a class
     is a small tuple and a launch builds its canonical program once.
+    The region bases turn that alpha-renamed program back into concrete
+    addresses, so the class pins the address stream the wave replays
+    (the cache set index is not translation-invariant) without the
+    region sizes, which only the signature needs: launches that differ
+    only in region extents share a class.
     """
     return (
         CANONICAL_VERSION,
@@ -213,6 +223,6 @@ def wave_class(launch: KernelLaunch, sim_blocks: int, warm: bool) -> tuple:
         sim_blocks,
         simulated_block_coords(launch.grid, sim_blocks),
         bool(warm),
-        tuple(r.size_bytes for r in launch.regions),
+        tuple(r.base for r in launch.regions),
         _program_digest(launch),
     )

@@ -53,8 +53,11 @@ Subcommands:
     trace memory (overflow is counted, never silent).  In text mode,
     ``trace simulate`` then prints one table per GPU run, built from
     that run's kernel spans: each kernel's category, source (``fresh``,
-    ``local`` or ``l1_reuse``), simulated cycles, host milliseconds and
-    share of the run's kernel host seconds, slowest on the host first.
+    ``local``, ``wave`` or ``l1_reuse``), simulated cycles, host
+    milliseconds and share of the run's kernel host seconds, slowest on
+    the host first.  ``local`` copies an earlier launch of the same
+    signature; ``wave`` rescales the wave of an earlier launch that
+    differs only in grid or region extents.
 
 ``repro campaign run|compare|list SPEC``
     Declarative design-space-exploration campaigns (see

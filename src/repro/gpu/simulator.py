@@ -20,9 +20,11 @@ the canonical identities of :mod:`repro.analysis.canonical`:
   launches share one scaled :class:`KernelResult` (stats copied per
   occurrence so aggregation stays independent);
 * **wave level** — launches in the same :func:`~repro.analysis.canonical.wave_class`
-  (same program and block geometry, *any* grid) share one expensive
-  :class:`~repro.gpu.sm.SmWave` run and redo only the cheap per-launch
-  scaling, e.g. an element-wise kernel over two different map sizes.
+  (same program, block geometry and region bases, *any* grid or region
+  extents) share one expensive :class:`~repro.gpu.sm.SmWave` run and
+  redo only the cheap per-launch scaling, e.g. ResNet's ``relu_res2a``
+  after ``relu_res2a_branch2a``, one element-wise kernel over 256 and
+  64 channels.  Such a launch traces with ``source="wave"``.
 
 ``dedup=False`` disables both levels (every launch simulates from
 scratch); ``tests/test_engine_equivalence.py`` pins that the two modes
@@ -240,11 +242,11 @@ class L1Memo:
 
     Entries are keyed by the launch signature, the config with
     ``l1_size`` zeroed and the options.  A wave class would serve
-    launches that differ only in grid, but each ``simulate_network``
-    call's wave cache serves those before the memo is asked, and the
-    signature is already cached on the launch.  The engine is not part
-    of the key: :class:`~repro.gpu.sm.SmWave` is the only engine a
-    simulation runs.
+    launches that differ only in grid or region extents, but each
+    ``simulate_network`` call's wave cache serves those before the memo
+    is asked, and the signature is already cached on the launch.  The
+    engine is not part of the key: :class:`~repro.gpu.sm.SmWave` is the
+    only engine a simulation runs.
     Each entry is its run pickled into one bytes object: a live
     ``_WaveRun`` is some thirty small objects (stats, counters, floats),
     and holding those for a whole L1D sweep raised its peak RSS by
@@ -462,11 +464,13 @@ def simulate_network(
     With a tracer installed, each launch records one kernel span on the
     run's cycle timeline, a track named by the network, platform, L1D
     size and scheduler (``gru@GP102 l1=64K gto``).  Its args carry the
-    launch's ``category``, its ``source`` (``fresh``, ``local`` or
-    ``l1_reuse``) and ``host_s``: the host wall seconds of the launch's
-    loop iteration (signature, then simulation or local copy), so a
-    trace shows where a run's host time goes beside where its simulated
-    cycles go.
+    launch's ``category``, its ``source`` and ``host_s``: the host wall
+    seconds of the launch's loop iteration (signature, then simulation
+    or local copy), so a trace shows where a run's host time goes beside
+    where its simulated cycles go.  The source is ``fresh`` (its wave
+    ran), ``local`` (an earlier launch had its signature), ``wave`` (an
+    earlier launch of another signature ran its wave class) or
+    ``l1_reuse``.
     """
     options = options or SimOptions()
     tracer = get_tracer()
@@ -483,11 +487,17 @@ def simulate_network(
         signature = kernel.signature()
         hit = local.get(signature) if dedup else None
         if hit is None:
+            waves = len(wave_cache) if dedup else 0
             reused = l1_memo.reused if l1_memo is not None else 0
             hit = simulate_kernel(
                 kernel, config, options, _wave_cache=wave_cache, _l1_memo=l1_memo
             )
-            source = "l1_reuse" if l1_memo and l1_memo.reused > reused else "fresh"
+            if dedup and len(wave_cache) == waves:
+                source = "wave"  # the class was cached: no new wave ran
+            elif l1_memo and l1_memo.reused > reused:
+                source = "l1_reuse"
+            else:
+                source = "fresh"
             if dedup:
                 local[signature] = hit
         else:

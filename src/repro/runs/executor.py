@@ -24,7 +24,8 @@ serially).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -234,12 +235,14 @@ class Executor:
         per worker instead of one task per spec.  Workers catch
         per-spec exceptions and report them alongside successful
         payloads, so one failing combo costs one table cell, not the
-        batch.  Returns ``key -> failure message``.
+        batch.  A worker that dies breaks the pool: every chunk it has
+        not finished, submitted or not, fails with ``BrokenProcessPool``.
+        Returns ``key -> failure message``.
         """
         chunks = chunk_specs(pending, jobs)
         failed: dict[str, str] = {}
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            futures = [pool.submit(_simulate_chunk_worker, chunk) for chunk in chunks]
+            futures = [_submit(pool, chunk) for chunk in chunks]
             # Canonical-order merge: collect in submission order so the
             # store contents are deterministic no matter which worker
             # finishes first.
@@ -299,6 +302,17 @@ def chunk_specs(pending: Sequence[RunSpec], jobs: int) -> list[list[RunSpec]]:
             chunks.append([])
         chunks[-1].extend(group)
     return chunks
+
+
+def _submit(pool: ProcessPoolExecutor, chunk: list[RunSpec]) -> Future:
+    """Submit one chunk; a pool that a dead worker broke refuses it, and
+    the chunk then gets a future holding that error."""
+    try:
+        return pool.submit(_simulate_chunk_worker, chunk)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
 
 
 def _failure_message(spec: RunSpec, exc: Exception) -> str:

@@ -24,9 +24,13 @@ from repro.analysis.canonical import (
     simulated_block_coords,
     wave_class,
 )
-from repro.isa.program import Loop, Program
+from repro.core.suite import NETWORK_ORDER
+from repro.gpu.config import SimOptions
+from repro.gpu.occupancy import compute_occupancy
+from repro.isa.program import ExpandedInstr, Loop, Program, expand_program
 from repro.kernels.compile import compiled_network
 from repro.kernels.launch import KernelLaunch, MemRegion
+from repro.platforms import GP102
 
 
 def _shift_items(items, delta: int):
@@ -66,6 +70,37 @@ def relocate(launch: KernelLaunch, delta: int) -> KernelLaunch:
         regions=regions,
         shared_input=launch.shared_input,
     )
+
+
+def _move_top_region(launch: KernelLaunch, delta: int) -> KernelLaunch:
+    """*launch* with its highest region, and every address inside it,
+    moved by *delta*: the other regions and their addresses stay put."""
+    top = max(launch.regions, key=lambda r: r.base)
+
+    def shift(items):
+        out = []
+        for item in items:
+            if isinstance(item, Loop):
+                out.append(Loop(item.var, item.trips, shift(item.body)))
+            elif item.addr is not None and item.addr.base >= top.base:
+                out.append(replace(item, addr=item.addr.shifted(delta)))
+            else:
+                out.append(item)
+        return tuple(out)
+
+    program = replace(launch.program, items=shift(launch.program.items))
+    regions = tuple(
+        MemRegion(r.name, r.base + delta, r.size_bytes) if r is top else r
+        for r in launch.regions
+    )
+    return _rebuilt(launch, program=program, regions=regions)
+
+
+def _expanded(launch: KernelLaunch, options: SimOptions) -> list[tuple]:
+    """Every dynamic record of *launch* under *options*' loop budgets,
+    field by field: concrete addresses, loop indices and weights."""
+    records = expand_program(launch.program, options.max_trips, options.max_outer_trips)
+    return [tuple(getattr(r, f) for f in ExpandedInstr.__slots__) for r in records]
 
 
 def _rebuilt(launch: KernelLaunch, **overrides) -> KernelLaunch:
@@ -247,3 +282,45 @@ class TestWaveClass:
         for launch in LAUNCHES:
             program = canonical_launch(launch)[-1]
             assert by_class.setdefault(wave_class(launch, 1, False), program) == program
+
+    def test_extent_only_variants_share_a_class(self):
+        launch = LAUNCHES[0]
+        wider = _rebuilt(launch, regions=tuple(
+            MemRegion(r.name, r.base, 2 * r.size_bytes) for r in launch.regions
+        ))
+        assert canonical_signature(wider) != canonical_signature(launch)
+        assert wave_class(wider, 1, False) == wave_class(launch, 1, False)
+
+    def test_moving_a_base_by_one_line_splits_the_class(self):
+        launch = LAUNCHES[0]
+        moved = _move_top_region(launch, 128)
+        # Same alpha-renamed program and extents, so the same signature,
+        # but the wave would replay a stream one L1 line further on.
+        assert canonical_signature(moved) == canonical_signature(launch)
+        assert wave_class(moved, 1, False)[-1] == wave_class(launch, 1, False)[-1]
+        assert wave_class(moved, 1, False) != wave_class(launch, 1, False)
+
+    @pytest.mark.parametrize("fidelity", ["light", "default"])
+    def test_suite_classes_expand_identically(self, fidelity):
+        # Every launch of the seven networks that shares a class with
+        # another drives SmWave with the same concrete dynamic stream,
+        # whatever its grid and region extents.
+        options = SimOptions().light() if fidelity == "light" else SimOptions()
+        classes: dict[tuple, list[KernelLaunch]] = {}
+        for network in NETWORK_ORDER:
+            for launch in compiled_network(network):
+                sim_blocks = compute_occupancy(launch, GP102).blocks
+                if options.max_sim_blocks is not None:
+                    sim_blocks = max(1, min(sim_blocks, options.max_sim_blocks))
+                warm = launch.shared_input and launch.total_blocks > sim_blocks
+                classes.setdefault(wave_class(launch, sim_blocks, warm), []).append(launch)
+        shared = [members for members in classes.values() if len(members) > 1]
+        extents = 0
+        for first, *others in shared:
+            expected = _expanded(first, options)
+            for other in others:
+                assert _expanded(other, options) == expected, (first.name, other.name)
+                extents += other.signature() != first.signature()
+        # ResNet's eight extent-only variants, plus kernels that
+        # networks share across the suite.
+        assert extents >= 8

@@ -14,14 +14,16 @@ seven networks, and AlexNet with the L1 bypassed under every policy, are
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from repro.gpu import seed_engine
+from repro.gpu import seed_engine, simulator
 from repro.gpu.config import SimOptions
 from repro.gpu.simulator import simulate_network
 from repro.platforms import GK210, GP102
+from repro.runs.store import result_to_payload
 
 from repro.core.suite import NETWORK_ORDER
 
@@ -104,6 +106,27 @@ class TestDedupEquivalence:
         assert result.unique_kernels == len(sigs)
         # ResNet repeats its residual blocks — dedup must actually bite.
         assert result.unique_kernels < len(result.kernels)
+
+    def test_extent_only_variants_share_one_wave(self, monkeypatch):
+        # Each stage's projection shortcut (and res2a_branch2c) runs
+        # res*a_branch2a's program over the same bases, as relu_res*a
+        # runs relu_res*a_branch2a's: 55 signatures, 47 waves.
+        waves: list[str] = []
+        real = simulator._run_wave
+
+        def counted(kernel, *args, **kwargs):
+            waves.append(kernel.name)
+            return real(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_run_wave", counted)
+        options = SimOptions().light()
+        on = simulate_network("resnet", GP102, options)
+        assert on.unique_kernels == 55
+        assert len(waves) == 47
+        assert "res3a_branch1" not in waves and "relu_res3a" not in waves
+        off = simulate_network("resnet", GP102, options, dedup=False)
+        assert len(waves) == 47 + len(off.kernels)
+        assert json.dumps(result_to_payload(on)) == json.dumps(result_to_payload(off))
 
 
 @pytest.mark.slow

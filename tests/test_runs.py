@@ -10,6 +10,7 @@ ingredient change.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -192,6 +193,104 @@ class TestExecutor:
             {"planned": 5, "fresh": 2, "cached": 3}
         )
         assert legacy.failed == {}
+
+
+class TestWorkerDeath:
+    """A worker process that dies mid-pass (``os._exit`` stands in for a
+    kill or an out-of-memory abort) breaks the pool: every run the pool
+    did not finish is reported as failed, in one line, and the pass
+    returns.  Forked workers inherit the patched ``_simulate_spec``."""
+
+    SPECS = [RunSpec(network, GP102, LIGHT) for network in ("gru", "lstm", "cifarnet")]
+
+    @pytest.fixture
+    def kill_worker(self, tmp_path, monkeypatch):
+        """Arm ``kill_worker(network, after=None)``: the worker that runs
+        *network* exits, once the parent has stored *after*'s run."""
+        import multiprocessing
+        import time
+
+        import repro.runs.executor as executor_mod
+        from repro.runs.store import RUNS_SUBDIR
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the patch only under the fork start method")
+        parent = os.getpid()
+        real = executor_mod._simulate_spec
+
+        def arm(network: str, after: str | None = None) -> None:
+            def dying(spec, *args):
+                if spec.network != network:
+                    return real(spec, *args)
+                if os.getpid() == parent:
+                    raise AssertionError("the parent re-ran a run its pool lost")
+                deadline = time.monotonic() + 60
+                while (after and time.monotonic() < deadline
+                       and not any((tmp_path / RUNS_SUBDIR).glob(f"{after}-*.json"))):
+                    time.sleep(0.01)
+                os._exit(1)
+
+            monkeypatch.setattr(executor_mod, "_simulate_spec", dying)
+
+        before = set(multiprocessing.active_children())
+        yield arm
+        assert set(multiprocessing.active_children()) <= before
+
+    def _check(self, report, store) -> None:
+        assert report.planned == report.fresh + report.cached + len(report.failed) == 3
+        for spec in self.SPECS:
+            message = report.failed.get(spec.key())
+            if message is None:
+                assert store.get_run(spec) is not None, spec.describe()
+            else:
+                assert "\n" not in message
+                assert message.startswith(spec.describe() + ": BrokenProcessPool")
+                assert not store.run_path(spec).exists()
+
+    def test_unfinished_runs_are_reported_not_raised(self, tmp_path, kill_worker):
+        # GRU's chunk is merged and stored before the LSTM worker dies.
+        kill_worker("lstm", after="gru")
+        store = ResultStore(tmp_path)
+        report = Executor(store).execute(self.SPECS, jobs=2)
+        self._check(report, store)
+        assert [s.key() in report.failed for s in self.SPECS[:2]] == [False, True]
+
+    def test_death_before_the_last_submit(self, tmp_path, kill_worker, monkeypatch):
+        # A pool a worker already broke refuses further submits.
+        from concurrent.futures import ProcessPoolExecutor, wait
+
+        import repro.runs.executor as executor_mod
+
+        class LateSubmits(ProcessPoolExecutor):
+            first = None
+
+            def submit(self, *args, **kwargs):
+                if self.first is not None:
+                    wait([self.first], timeout=60)
+                future = super().submit(*args, **kwargs)
+                self.first = self.first or future
+                return future
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", LateSubmits)
+        kill_worker("gru")
+        store = ResultStore(tmp_path)
+        report = Executor(store).execute(self.SPECS, jobs=2)
+        self._check(report, store)
+        assert len(report.failed) == 3
+
+    def test_campaign_skips_the_lost_points(self, tmp_path, kill_worker):
+        from repro.campaign import campaign_from_dict, run_campaign
+
+        kill_worker("lstm", after="gru")
+        spec = campaign_from_dict({
+            "campaign": {"name": "t", "fidelity": "light"},
+            "axes": {"network": ["gru", "lstm", "cifarnet"]},
+        })
+        result = run_campaign(spec, store=ResultStore(tmp_path), jobs=2)
+        skipped = {s["axes"]["network"]: s["error"] for s in result.skipped}
+        assert "lstm" in skipped and "gru" not in skipped
+        assert all("BrokenProcessPool" in error for error in skipped.values())
+        assert len(result.rows) + len(result.skipped) == result.plan.requested == 3
 
 
 class TestStore:

@@ -123,6 +123,26 @@ class TestTraceSimulate:
         assert counters["gpu.wave_l1_reused"]["value"] == reused
         assert counters["gpu.kernel_l1_reuse"]["value"] == reused
 
+    def test_tags_kernels_served_from_the_runs_wave_cache(self, capsys, tmp_path):
+        out = tmp_path / "trace.json"
+        assert main(["trace", "simulate", "resnet", "--fidelity", "light", "--no-warps",
+                     "--no-cache", "--output", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index(next(line for line in lines if line.startswith("kernel ")))
+        rows = [line.split() for line in lines[header + 1:]]
+        expected = {"fresh": 47, "wave": 8, "local": 173}
+        assert Counter(row[2] for row in rows) == expected
+        # Extent-only variants of an earlier launch of the run.
+        assert {row[0] for row in rows if row[2] == "wave"} == {
+            "res2a_branch2c", "res3a_branch1", "res4a_branch1", "res5a_branch1",
+            "relu_res2a", "relu_res3a", "relu_res4a", "relu_res5a",
+        }
+        payload = json.loads(out.read_text())
+        sources = Counter(e["args"]["source"] for e in payload["traceEvents"]
+                          if e.get("ph") == "X" and e.get("cat") == "kernel")
+        assert sources == expected
+        assert payload["metrics"]["counters"]["gpu.kernel_wave"]["value"] == 8
+
     def test_each_run_gets_its_own_kernel_track(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
         assert main(["trace", "simulate", "gru", "--l1-kb", "0,64", "--no-cache",
