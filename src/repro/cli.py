@@ -248,6 +248,7 @@ def _serve_prepare(
     """
     from repro.platforms import make_config
     from repro.serve import ServeConfig, build_fleet
+    from repro.serve.profiles import ProfileError
     from repro.serve.schedulers import SCHEDULERS
 
     scenario = None
@@ -307,7 +308,13 @@ def _serve_prepare(
     if scenario is not None and scenario.autoscale is not None:
         platforms.append(make_config(scenario.autoscale.template))
     options = _sim_options(args.sim_scheduler, args.fidelity)
-    profiles, build_s, detail = _serve_profiles(args, names, platforms, options, refresh)
+    try:
+        profiles, build_s, detail = _serve_profiles(
+            args, names, platforms, options, refresh
+        )
+    except ProfileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not quiet and not args.json:
         print(f"fleet: {' '.join(device.name for device in fleet)}")
         print(f"profiles: {len(profiles)} built in {build_s:.2f} s {detail}")

@@ -17,10 +17,11 @@ staying observationally identical to the original design:
 * ``pending`` is an *incremental* counter (updated on enqueue and
   batch take) rather than a sum over batchers, so queue-depth checks
   are O(1);
-* every state mirrors its depth into a fleet-shared ``depths`` list at
-  its own index, with a large sentinel while the device is not
-  accepting — schedulers with a fast hook scan that flat list instead
-  of touching device objects at all.
+* every accepting state keeps its bit in the fleet-shared
+  :class:`DepthIndex` at its current depth, moving it on enqueue and
+  batch take, and takes it out while drained — the depth-ranked
+  schedulers read their choice off that index in O(1) instead of
+  scanning the fleet.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ from repro.platforms import make_config
 from repro.serve.batching import DynamicBatcher, Request
 from repro.serve.profiles import LatencyProfile
 from repro.serve.stats import DepthTimeline
-
-#: Sentinel depth published for devices that are not accepting work;
-#: larger than any real queue so depth-ranking schedulers skip them.
-DRAINED_DEPTH = 1 << 30
-
 
 @dataclass(frozen=True)
 class ServeDevice:
@@ -78,12 +74,82 @@ def build_fleet(spec: str) -> list[ServeDevice]:
     return fleet
 
 
+class DepthIndex:
+    """The accepting devices of one fleet, ranked by queue depth.
+
+    Device ``i`` is bit ``1 << i``.  ``levels[d]`` is the bitmask of
+    accepting devices with ``d`` queued requests, grown to the deepest
+    queue seen (never preallocated to ``max_queue``, which may be
+    huge); ``lowest`` is the shallowest non-empty level while any
+    device accepts work; ``open`` is the bitmask of accepting devices
+    below ``max_queue``.  A device that is not accepting has no bit
+    anywhere.  :class:`DeviceState` moves its own bit, passing the depth
+    its bit is at; the lowest set bit of a mask is the first device in
+    fleet order.
+    """
+
+    __slots__ = ("max_queue", "levels", "lowest", "open")
+
+    def __init__(self, max_queue: int) -> None:
+        self.max_queue = max_queue
+        self.levels = [0]
+        self.lowest = 0
+        self.open = 0
+
+    def add(self, bit: int, depth: int) -> None:
+        """Enter an accepting device at *depth*."""
+        levels = self.levels
+        if depth >= len(levels):
+            levels.extend([0] * (depth + 1 - len(levels)))
+        levels[depth] |= bit
+        if depth < self.lowest or not levels[self.lowest]:
+            self.lowest = depth
+        if depth < self.max_queue:
+            self.open |= bit
+
+    def remove(self, bit: int, depth: int) -> None:
+        """Take out the device at *depth* (it stopped accepting work)."""
+        levels = self.levels
+        levels[depth] &= ~bit
+        self.open &= ~bit
+        lowest = self.lowest
+        top = len(levels) - 1
+        while not levels[lowest] and lowest < top:
+            lowest += 1
+        self.lowest = lowest
+
+    def deepen(self, bit: int, depth: int) -> None:
+        """Move the device at *depth* to ``depth + 1`` (one request
+        enqueued)."""
+        levels = self.levels
+        new = depth + 1
+        if new == len(levels):
+            levels.append(0)
+        levels[depth] ^= bit
+        levels[new] |= bit
+        if new == self.max_queue:
+            self.open ^= bit
+        if depth == self.lowest and not levels[depth]:
+            self.lowest = new
+
+    def lift(self, bit: int, depth: int, new: int) -> None:
+        """Move the device at *depth* to the shallower *new* (a batch
+        launched)."""
+        levels = self.levels
+        levels[depth] ^= bit
+        levels[new] |= bit
+        if new < self.max_queue:
+            self.open |= bit
+        if new < self.lowest:
+            self.lowest = new
+
+
 class DeviceState:
     """Mutable serving state of one fleet device."""
 
     __slots__ = (
         "device", "profiles", "max_batch", "batch_timeout_ms", "max_queue",
-        "index", "depths", "batchers", "busy", "busy_until", "flush_at",
+        "bit", "depth_index", "batchers", "busy", "busy_until", "flush_at",
         "pending", "accepting", "busy_ms", "batches", "served", "shed",
         "timeline", "static_watts", "dynamic_j", "active_ms", "_span_start",
     )
@@ -96,17 +162,19 @@ class DeviceState:
         batch_timeout_ms: float,
         max_queue: int,
         index: int = 0,
-        depths: list[int] | None = None,
+        depth_index: DepthIndex | None = None,
     ) -> None:
         self.device = device
         self.profiles = dict(profiles)
         self.max_batch = max_batch
         self.batch_timeout_ms = batch_timeout_ms
         self.max_queue = max_queue
-        #: Position in the fleet (and in the shared ``depths`` list).
-        self.index = index
-        #: Fleet-shared flat depth list (see module docstring).
-        self.depths = depths if depths is not None else [0] * (index + 1)
+        #: This device in the fleet's depth index: ``1 << fleet position``.
+        self.bit = 1 << index
+        #: The fleet-shared depth index (see module docstring).
+        self.depth_index = (
+            depth_index if depth_index is not None else DepthIndex(max_queue)
+        )
         self.batchers = {
             network: DynamicBatcher(max_batch, batch_timeout_ms)
             for network in self.profiles
@@ -132,7 +200,7 @@ class DeviceState:
         #: Closed active spans (provisioned wall-clock, for static energy).
         self.active_ms = 0.0
         self._span_start: float | None = 0.0
-        self.depths[index] = 0
+        self.depth_index.add(self.bit, 0)
 
     # ------------------------------------------------------------------
     @property
@@ -141,26 +209,29 @@ class DeviceState:
 
     def enqueue(self, request: Request, now_ms: float) -> None:
         self.batchers[request.network].add(request)
-        self.pending += 1
+        depth = self.pending
+        self.pending = depth + 1
         if self.accepting:
-            self.depths[self.index] = self.pending
-        self.timeline.record(now_ms, self.pending)
+            self.depth_index.deepen(self.bit, depth)
+        self.timeline.record(now_ms, depth + 1)
 
     def take_batch(self, network: str, now_ms: float) -> list[Request]:
         """Pop the launchable batch for *network*, keeping the pending
-        counter, shared depth and timeline in sync."""
+        counter, depth index and timeline in sync."""
         batch = self.batchers[network].pop_batch(now_ms, force=True)
-        self.pending -= len(batch)
+        depth = self.pending
+        self.pending = depth - len(batch)
         if self.accepting:
-            self.depths[self.index] = self.pending
+            self.depth_index.lift(self.bit, depth, self.pending)
         self.timeline.record(now_ms, self.pending)
         return batch
 
     # -- autoscaling lifecycle -----------------------------------------
     def activate(self, now_ms: float) -> None:
         """Start (or resume) accepting work; opens an active span."""
-        self.accepting = True
-        self.depths[self.index] = self.pending
+        if not self.accepting:
+            self.accepting = True
+            self.depth_index.add(self.bit, self.pending)
         if self._span_start is None:
             self._span_start = now_ms
 
@@ -168,8 +239,9 @@ class DeviceState:
         """Stop accepting new work.  Queued and in-flight work still
         completes; the active span closes once the device is idle and
         empty (or immediately if it already is)."""
-        self.accepting = False
-        self.depths[self.index] = DRAINED_DEPTH
+        if self.accepting:
+            self.accepting = False
+            self.depth_index.remove(self.bit, self.pending)
         self.maybe_retire(now_ms)
 
     def maybe_retire(self, now_ms: float) -> None:

@@ -25,8 +25,9 @@ what a batch timeout means — but never holds requests beyond it, and a
 device that frees up takes the oldest ready batch at once.
 
 Determinism: all randomness flows from one ``random.Random(seed)``, the
-event queue breaks ties by insertion order, and every fleet scan is in
-fleet order — a fixed seed reproduces :class:`ServeStats` exactly.
+event queue breaks ties by insertion order, and every scheduler breaks
+ties by fleet order — a fixed seed reproduces :class:`ServeStats`
+exactly.
 
 **Event loop.**  :meth:`ServeSim.run` pops one event at a time off the
 binary heap (:class:`~repro.serve.events.EventQueue`) and hands it
@@ -51,7 +52,7 @@ from repro.platforms import make_config
 from repro.serve.admission import SHED_OVERFLOW
 from repro.serve.autoscale import AutoscaleSignals
 from repro.serve.batching import DynamicBatcher, Request
-from repro.serve.devices import DeviceState, ServeDevice
+from repro.serve.devices import DepthIndex, DeviceState, ServeDevice
 from repro.serve.events import ARRIVAL, COMPLETE, FLUSH, TICK, EventQueue
 from repro.serve.pipeline import ServePipeline, make_pipeline
 from repro.serve.profiles import LatencyProfile, profiles_for_platform
@@ -165,7 +166,6 @@ class ServeSim:
         start_ms: float,
     ) -> DeviceState:
         config = self.config
-        self._depths.append(0)
         state = DeviceState(
             device,
             slice_,
@@ -173,7 +173,7 @@ class ServeSim:
             batch_timeout_ms=config.batch_timeout_ms,
             max_queue=config.max_queue,
             index=index,
-            depths=self._depths,
+            depth_index=self._depth_index,
         )
         state.static_watts = max(p.static_watts for p in slice_.values())
         if start_ms:
@@ -186,7 +186,7 @@ class ServeSim:
         """(Re)build all per-run state: a ServeSim can run repeatedly
         from the same constructor args."""
         config = self.config
-        self._depths: list[int] = []
+        self._depth_index = DepthIndex(config.max_queue)
         self.devices = []
         for index, device in enumerate(self.fleet):
             self.devices.append(
@@ -198,7 +198,7 @@ class ServeSim:
             reset()
         attach = getattr(scheduler, "attach", None)
         if attach is not None:
-            attach(self._depths, config.max_queue)
+            attach(self._depth_index)
         self._scheduler = scheduler
         self._scheduler_label = getattr(scheduler, "name", config.scheduler)
         self._admission = self.pipeline.admission

@@ -26,9 +26,10 @@ deterministic — same inputs, same answers — because a fixed seed must
 reproduce bit-identical statistics (the serve-scale digest golden pins
 one scenario).  Policies may keep per-run state if they
 expose ``reset()``, which the engine calls at the start of every run;
-schedulers may additionally expose ``attach(depths, max_queue)`` (see
-:mod:`repro.serve.schedulers`) to scan the fleet-shared depth array
-instead of device objects.
+schedulers may additionally expose ``attach(index)``, which the engine
+calls after ``reset()`` with the fleet's
+:class:`~repro.serve.devices.DepthIndex`, to pick a device in O(1)
+instead of scanning device objects (see :mod:`repro.serve.schedulers`).
 """
 
 from __future__ import annotations

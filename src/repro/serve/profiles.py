@@ -34,6 +34,11 @@ from typing import Iterable, Mapping
 from repro.gpu.config import GpuConfig, SimOptions
 
 
+class ProfileError(Exception):
+    """A profile build whose batch-1 runs failed: the message holds one
+    ``"<run>: <ErrorType>: <message>"`` line per failed run."""
+
+
 @dataclass(frozen=True)
 class KernelTerm:
     """The batch-scaling term of one distinct kernel signature."""
@@ -178,6 +183,11 @@ def build_profiles(
     ``refresh=True`` re-simulates every pair serially instead of
     reading the store — ``repro trace serve`` uses it so an installed
     tracer (:mod:`repro.obs`) always sees the GPU layer.
+
+    Without ``refresh``, a pair whose simulation raises (a platform the
+    mapper cannot tile, say) is simulated once: the build raises
+    :class:`ProfileError` with the executor's one-line report of every
+    failed run.
     """
     from repro.runs.executor import Executor
     from repro.runs.spec import RunSpec
@@ -197,7 +207,9 @@ def build_profiles(
         for spec in specs:
             executor.run(spec, refresh=True)
     else:
-        executor.execute(specs, jobs=jobs)
+        failed = executor.execute(specs, jobs=jobs).failed
+        if failed:
+            raise ProfileError("\n".join(failed.values()))
     profiles: dict[tuple[str, str], LatencyProfile] = {}
     for spec in specs:
         result = executor.run(spec)

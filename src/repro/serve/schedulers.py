@@ -14,18 +14,19 @@ whole runs reproducible.
   together queue depth *and* the per-device latency profile, so slow
   devices only absorb traffic once fast ones are saturated.
 
-**Fast hooks.**  Depth-only policies (round-robin, least-loaded)
-support :meth:`attach`: the engine hands them the fleet-shared flat
-``depths`` list (see :mod:`repro.serve.devices`) and the queue bound,
-and ``choose`` then scans plain ints instead of device objects —
-roughly an order of magnitude cheaper at 100 devices.  The attached
-scan is *definitionally* equivalent to the object scan: ``depths[i]``
-equals ``devices[i].pending`` while the device accepts work and a
-beyond-capacity sentinel otherwise, so "skip full or drained" and the
-tie-breaks are the same predicate on the same numbers.  The
-latency-aware policy has no flat-scan form (its estimate walks
-per-network batchers) and stays object-based — correct, but the
-documented slow choice for very large fleets.
+**Depth index.**  The depth-ranked policies (round-robin,
+least-loaded) must be attached: at run start the engine hands them the
+fleet's :class:`~repro.serve.devices.DepthIndex` through
+:meth:`attach`, and ``choose`` then reads its pick off that index in
+O(1) instead of scanning the fleet.  Least-loaded takes the lowest set
+bit of the shallowest level; round-robin the lowest open bit at or
+after its cursor, else the lowest open bit.  Both are the device their
+fleet-order scans pick: the first accepting, non-full device at the
+minimum depth, or the first one on from the cursor.  A drained device
+has no bit, so it is never chosen.  The latency-aware policy has no
+index form (its estimate walks per-network batchers) and stays
+object-based — correct, but the documented slow choice for very large
+fleets.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from typing import Protocol, Sequence
 
 from repro.serve.batching import Request
-from repro.serve.devices import DeviceState
+from repro.serve.devices import DepthIndex, DeviceState
 
 
 class Scheduler(Protocol):
@@ -55,42 +56,29 @@ class RoundRobinScheduler:
 
     def __init__(self) -> None:
         self._next = 0
-        self._depths: list[int] | None = None
-        self._max_queue = 0
+        self._index: DepthIndex | None = None
 
     def reset(self) -> None:
         """Forget run state (the engine calls this at run start)."""
         self._next = 0
-        self._depths = None
+        self._index = None
 
-    def attach(self, depths: list[int], max_queue: int) -> None:
-        """Adopt the fleet-shared depth list (engine fast hook)."""
-        self._depths = depths
-        self._max_queue = max_queue
+    def attach(self, index: DepthIndex) -> None:
+        """Adopt the fleet's depth index (the engine calls this at run
+        start, after :meth:`reset`)."""
+        self._index = index
 
     def choose(
         self, request: Request, devices: Sequence[DeviceState], now_ms: float
     ) -> int | None:
-        depths = self._depths
-        if depths is not None:
-            count = len(depths)
-            start = self._next
-            max_queue = self._max_queue
-            for offset in range(count):
-                index = start + offset
-                if index >= count:
-                    index -= count
-                if depths[index] < max_queue:
-                    self._next = index + 1 if index + 1 < count else 0
-                    return index
+        open_ = self._index.open
+        if not open_:
             return None
-        for offset in range(len(devices)):
-            index = (self._next + offset) % len(devices)
-            state = devices[index]
-            if state.accepting and not state.full:
-                self._next = (index + 1) % len(devices)
-                return index
-        return None
+        start = self._next
+        pick = open_ >> start << start or open_
+        index = (pick & -pick).bit_length() - 1
+        self._next = index + 1 if index + 1 < len(devices) else 0
+        return index
 
 
 class LeastLoadedScheduler:
@@ -99,39 +87,25 @@ class LeastLoadedScheduler:
     name = "least-loaded"
 
     def __init__(self) -> None:
-        self._depths: list[int] | None = None
-        self._max_queue = 0
+        self._index: DepthIndex | None = None
 
     def reset(self) -> None:
-        self._depths = None
+        self._index = None
 
-    def attach(self, depths: list[int], max_queue: int) -> None:
-        """Adopt the fleet-shared depth list (engine fast hook)."""
-        self._depths = depths
-        self._max_queue = max_queue
+    def attach(self, index: DepthIndex) -> None:
+        """Adopt the fleet's depth index (the engine calls this at run
+        start, after :meth:`reset`)."""
+        self._index = index
 
     def choose(
         self, request: Request, devices: Sequence[DeviceState], now_ms: float
     ) -> int | None:
-        depths = self._depths
-        if depths is not None:
-            # Two C-speed scans beat one Python loop by ~5x at 100
-            # devices: min() finds the smallest depth, index() its
-            # first holder — which is exactly the first (fleet-order)
-            # strict minimum the object scan below picks.
-            shallowest = min(depths)
-            if shallowest >= self._max_queue:
-                return None
-            return depths.index(shallowest)
-        best_index: int | None = None
-        best_len = -1
-        for index, state in enumerate(devices):
-            if not state.accepting or state.full:
-                continue
-            depth = state.pending
-            if best_index is None or depth < best_len:
-                best_index, best_len = index, depth
-        return best_index
+        index = self._index
+        # Some device is below max_queue exactly when the shallowest is.
+        if not index.open:
+            return None
+        level = index.levels[index.lowest]
+        return (level & -level).bit_length() - 1
 
 
 class LatencyAwareScheduler:

@@ -8,9 +8,12 @@ harness instead.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.gpu.config import GpuConfig, SimOptions
+from repro.platforms import make_config, register_platform, unregister_platform
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +38,16 @@ def tiny_gpu() -> GpuConfig:
         l2_size=512 * 1024,
         dram_gb_per_s=100.0,
     )
+
+
+@pytest.fixture()
+def hopeless_platform():
+    """A registered NPU whose 64-byte tiles no layer fits: every run on
+    it raises ``MappingError`` inside the executor, which reports it as
+    ``"cifarnet on Hopeless: MappingError: conv1: a 1-channel, 1-row,
+    1-input-channel conv tile still exceeds 64 bytes on Hopeless"``."""
+    config = register_platform(
+        replace(make_config("s2npu"), name="Hopeless", tile_memory_bytes=64)
+    )
+    yield config
+    unregister_platform(config.name)

@@ -292,6 +292,18 @@ class TestRunCampaign:
         assert len(result.rows) == 2
         assert all(r.point.network == "cifarnet" for r in result.rows)
 
+    def test_unmappable_platform_skips_its_point(self, hopeless_platform):
+        spec = campaign_from_dict(
+            spec_dict(network=["cifarnet"], platform=["hopeless", "s2npu"])
+        )
+        result = run_campaign(spec)
+        assert [s["axes"]["platform"] for s in result.skipped] == ["hopeless"]
+        assert result.skipped[0]["error"] == (
+            "cifarnet on Hopeless: MappingError: conv1: a 1-channel, 1-row, "
+            "1-input-channel conv tile still exceeds 64 bytes on Hopeless"
+        )
+        assert [row.point.platform for row in result.rows] == ["s2npu"]
+
     def test_to_dict_roundtrips_through_json(self, tmp_path):
         spec = campaign_from_dict(spec_dict(network=["gru"]))
         result = run_campaign(spec, store=ResultStore(tmp_path))

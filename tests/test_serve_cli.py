@@ -117,6 +117,23 @@ class TestServeCli:
         # Rejected before any profile was built.
         assert not any(tmp_path.iterdir())
 
+    def test_failed_profile_run_is_one_line_diagnosis(
+        self, capsys, tmp_path, hopeless_platform
+    ):
+        exit_code = main([
+            "serve", "--networks", "cifarnet", "--devices", "hopeless",
+            "--rps", "100", "--requests", "50", "--fidelity", "light",
+            "--cache-dir", str(tmp_path),
+        ])
+        assert exit_code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cifarnet on Hopeless: MappingError: conv1: a 1-channel, "
+            "1-row, 1-input-channel conv tile still exceeds 64 bytes on "
+            "Hopeless\n"
+        )
+
 
 SCENARIO_TOML = """\
 [scenario]

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.runs.executor as executor_mod
 from repro.gpu.simulator import simulate_network
 from repro.runs import ResultStore
-from repro.platforms import GP102
+from repro.platforms import GP102, make_config
 from repro.serve.profiles import (
     LatencyProfile,
+    ProfileError,
     build_profiles,
     profile_from_result,
     profiles_for_platform,
@@ -77,3 +79,25 @@ class TestBuildProfiles:
         sliced = profiles_for_platform(profiles, "GP102")
         assert set(sliced) == {"gru", "lstm"}
         assert profiles_for_platform(profiles, "TX1") == {}
+
+    def test_failed_run_raises_once_naming_the_run(
+        self, light_options, hopeless_platform, monkeypatch
+    ):
+        real = executor_mod._simulate_spec
+        simulated = []
+
+        def counted(spec, *args):
+            simulated.append(spec.describe())
+            return real(spec, *args)
+
+        monkeypatch.setattr(executor_mod, "_simulate_spec", counted)
+        with pytest.raises(ProfileError) as raised:
+            build_profiles(
+                ["cifarnet"], [hopeless_platform, make_config("s2npu")],
+                light_options,
+            )
+        assert str(raised.value) == (
+            "cifarnet on Hopeless: MappingError: conv1: a 1-channel, 1-row, "
+            "1-input-channel conv tile still exceeds 64 bytes on Hopeless"
+        )
+        assert simulated == ["cifarnet on Hopeless", "cifarnet on S2NPU"]
