@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.gpu.config import SimOptions
+from repro.gpu.config import SimOptions, sim_options
 from repro.obs.tracer import WALL_S, get_tracer
 from repro.platforms import make_config
 from repro.runs.spec import RunSpec
@@ -73,10 +73,7 @@ class CampaignPoint:
 
 def point_options(point: CampaignPoint) -> SimOptions:
     """The :class:`SimOptions` a point's simulation runs under."""
-    options = SimOptions(scheduler=point.scheduler)
-    if point.fidelity == "light":
-        options = options.light()
-    return options
+    return sim_options(point.scheduler, point.fidelity)
 
 
 def point_spec(point: CampaignPoint) -> RunSpec:

@@ -49,14 +49,9 @@ from pathlib import Path
 from repro.campaign.expand import AXIS_ORDER
 from repro.campaign.qor import QOR_METRICS
 from repro.core.suite import EXTENSION_NETWORKS, NETWORK_ORDER
+from repro.gpu.config import FIDELITIES, WARP_SCHEDULERS
 from repro.platforms import list_platforms
 from repro.specfile import load_spec_file
-
-#: Warp schedulers the simulator implements (Figures 15-16).
-SCHEDULERS = ("gto", "lrr", "tlv")
-
-#: Simulation fidelities (sampling budgets) a campaign may request.
-FIDELITIES = ("default", "light")
 
 #: Default Pareto objectives: the paper's cycles/energy/footprint
 #: trade-off, batch-amortized.  All minimized.
@@ -154,10 +149,10 @@ def _validate_axis(name: str, values: tuple) -> tuple:
         return tuple(out)
     if name == "scheduler":
         for value in values:
-            if value not in SCHEDULERS:
+            if value not in WARP_SCHEDULERS:
                 raise _fail(
                     f"unknown scheduler {value!r}; "
-                    f"available: {', '.join(SCHEDULERS)}"
+                    f"available: {', '.join(WARP_SCHEDULERS)}"
                 )
         return values
     if name == "fidelity":

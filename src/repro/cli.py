@@ -85,6 +85,12 @@ Shared flags behave identically everywhere they appear: ``--json``
 ``--cache-dir DIR`` / ``--no-cache`` (the unified result store) and
 ``--fidelity default|light`` (simulation sampling).
 
+A simulation that fails (a platform the mapper cannot tile, say) is
+attempted once.  The subcommand then exits 1 with one ``error: <run>:
+<ErrorType>: <message>`` line on stderr, not a traceback; ``repro
+campaign`` instead skips the point, and ``repro harness run`` prints its
+progress log first.
+
 Also invocable as ``python -m repro ...``.
 """
 
@@ -96,6 +102,8 @@ from pathlib import Path
 
 from repro.analysis import Severity, analyze_network
 from repro.core.suite import BENCHMARK_INFO, EXTENSION_NETWORKS, NETWORK_ORDER
+from repro.gpu.config import FIDELITIES, WARP_SCHEDULERS, sim_options
+from repro.runs.executor import RunFailed
 
 
 def _check_networks(names: list[str]) -> int | None:
@@ -141,16 +149,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _sim_options(scheduler: str, fidelity: str):
-    """The simulation options a warp scheduler and fidelity name."""
-    from repro.gpu.config import SimOptions
-
-    options = SimOptions(scheduler=scheduler)
-    if fidelity == "light":
-        options = options.light()
-    return options
-
-
 def _platform_configs(args: argparse.Namespace) -> list | int:
     """The configs of ``--platform`` at each ``--l1-kb`` size (its own
     L1D where the subcommand has no such flag); exit code 2 and a
@@ -178,7 +176,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(configs, int):
         return configs
     config = configs[0]
-    options = _sim_options(args.scheduler, args.fidelity)
+    options = sim_options(args.scheduler, args.fidelity)
     store = None if args.no_cache else ResultStore(args.cache_dir)
     executor = Executor(store)
     specs = [RunSpec(name, config, options) for name in names]
@@ -248,7 +246,6 @@ def _serve_prepare(
     """
     from repro.platforms import make_config
     from repro.serve import ServeConfig, build_fleet
-    from repro.serve.profiles import ProfileError
     from repro.serve.schedulers import SCHEDULERS
 
     scenario = None
@@ -307,14 +304,8 @@ def _serve_prepare(
     platforms = [device.platform for device in fleet]
     if scenario is not None and scenario.autoscale is not None:
         platforms.append(make_config(scenario.autoscale.template))
-    options = _sim_options(args.sim_scheduler, args.fidelity)
-    try:
-        profiles, build_s, detail = _serve_profiles(
-            args, names, platforms, options, refresh
-        )
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    options = sim_options(args.sim_scheduler, args.fidelity)
+    profiles, build_s, detail = _serve_profiles(args, names, platforms, options, refresh)
     if not quiet and not args.json:
         print(f"fleet: {' '.join(device.name for device in fleet)}")
         print(f"profiles: {len(profiles)} built in {build_s:.2f} s {detail}")
@@ -502,7 +493,7 @@ def _cmd_trace_simulate(args: argparse.Namespace) -> int:
     configs = _platform_configs(args)
     if isinstance(configs, int):
         return configs
-    options = _sim_options(args.scheduler, args.fidelity)
+    options = sim_options(args.scheduler, args.fidelity)
     store = None if args.no_cache else ResultStore(args.cache_dir)
     tracer = _trace_tracer(args)
     previous = set_tracer(tracer)
@@ -877,14 +868,14 @@ def _add_sim_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--platform", default="gp102",
                             help="platform model (default: gp102)")
     sub_parser.add_argument("--scheduler", default="gto",
-                            choices=("gto", "lrr", "tlv"),
+                            choices=WARP_SCHEDULERS,
                             help="warp scheduler (default: gto)")
     _add_fidelity_args(sub_parser)
 
 
 def _add_fidelity_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--fidelity", default="default",
-                            choices=("default", "light"),
+                            choices=FIDELITIES,
                             help="simulation sampling fidelity: 'light' "
                                  "is fast for smoke tests but not "
                                  "comparable to default runs")
@@ -949,7 +940,7 @@ def _add_serve_args(sub_parser: argparse.ArgumentParser) -> None:
                             help="bursty: quiet-window rate factor "
                                  "(default: 0.1)")
     sub_parser.add_argument("--sim-scheduler", default="gto",
-                            choices=("gto", "lrr", "tlv"),
+                            choices=WARP_SCHEDULERS,
                             help="warp scheduler used when building latency "
                                  "profiles (default: gto)")
     _add_fidelity_args(sub_parser)
@@ -1157,9 +1148,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit status."""
+    """CLI entry point; returns the process exit status.  A failed run
+    ends any subcommand with its one ``error:`` line and status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RunFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

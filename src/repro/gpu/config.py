@@ -76,11 +76,20 @@ class GpuConfig:
         return replace(self, l1_size=l1_size)
 
 
+#: Warp schedulers the simulator implements (Figures 15-16); GTO is
+#: GPGPU-Sim's default.
+WARP_SCHEDULERS = ("gto", "lrr", "tlv")
+
+#: Simulation fidelities (sampling budgets): ``light`` is
+#: :meth:`SimOptions.light`.
+FIDELITIES = ("default", "light")
+
+
 @dataclass(frozen=True)
 class SimOptions:
     """Knobs of one simulation run."""
 
-    #: Warp scheduler: "gto" (default, as GPGPU-Sim), "lrr" or "tlv".
+    #: Warp scheduler, one of :data:`WARP_SCHEDULERS`.
     scheduler: str = "gto"
     #: Inner-loop trip sampling budget (None = unsampled).  64 gives two
     #: contiguous 32-iteration chunks, long enough to preserve per-line
@@ -104,3 +113,9 @@ class SimOptions:
     def light(self) -> "SimOptions":
         """A cheap variant for tests: heavier sampling, same behaviour."""
         return replace(self, max_trips=6, max_outer_trips=1, max_sim_blocks=2)
+
+
+def sim_options(scheduler: str, fidelity: str) -> SimOptions:
+    """The options a warp scheduler and a fidelity name."""
+    options = SimOptions(scheduler=scheduler)
+    return options.light() if fidelity == "light" else options

@@ -22,9 +22,6 @@ KB = 1024
 #: The Figure 2 sweep: Pascal's default L1D is 64 KB.
 L1_SWEEP = (("No L1", 0), ("L1", 64 * KB), ("2xL1", 128 * KB), ("4xL1", 256 * KB))
 
-#: The Figure 15/16 scheduler sweep (GTO is GPGPU-Sim's default).
-SCHEDULERS = ("gto", "lrr", "tlv")
-
 
 def sim_platform() -> GpuConfig:
     """The architecture-simulator platform (GPGPU-Sim Pascal GP102)."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.harness.common import ALL_NETWORKS, SCHEDULERS, display, sim_platform
+from repro.gpu.config import WARP_SCHEDULERS
+from repro.harness.common import ALL_NETWORKS, display, sim_platform
 from repro.harness.report import Check
 from repro.runs import Experiment, RunSpec, RunView
 from repro.runs.registry import register
@@ -23,7 +24,7 @@ def _plan(ctx: PlanContext) -> tuple[RunSpec, ...]:
     return tuple(
         RunSpec(name, platform, replace(ctx.options, scheduler=scheduler))
         for name in ctx.nets(ALL_NETWORKS)
-        for scheduler in SCHEDULERS
+        for scheduler in WARP_SCHEDULERS
     )
 
 
@@ -32,7 +33,7 @@ def _aggregate(view: RunView) -> dict:
     series: dict[str, dict[str, float]] = {}
     for name in view.nets(ALL_NETWORKS):
         cycles = {}
-        for scheduler in SCHEDULERS:
+        for scheduler in WARP_SCHEDULERS:
             options = replace(view.ctx.options, scheduler=scheduler)
             cycles[scheduler.upper()] = view.run(name, platform, options).total_cycles
         base = cycles["GTO"]

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.harness.common import SCHEDULERS, sim_platform
+from repro.gpu.config import WARP_SCHEDULERS
+from repro.harness.common import sim_platform
 from repro.harness.report import Check
 from repro.runs import Experiment, RunSpec, RunView
 from repro.runs.registry import register
@@ -24,14 +25,14 @@ def _plan(ctx: PlanContext) -> tuple[RunSpec, ...]:
     return tuple(
         RunSpec(name, platform, replace(ctx.options, scheduler=scheduler))
         for name in ctx.nets((NETWORK,))
-        for scheduler in SCHEDULERS
+        for scheduler in WARP_SCHEDULERS
     )
 
 
 def _per_sched(view: RunView) -> dict[str, dict[str, float]]:
     platform = sim_platform()
     per_sched: dict[str, dict[str, float]] = {}
-    for scheduler in SCHEDULERS:
+    for scheduler in WARP_SCHEDULERS:
         options = replace(view.ctx.options, scheduler=scheduler)
         result = view.run(NETWORK, platform, options)
         per_node: dict[str, float] = {}
@@ -48,7 +49,7 @@ def _aggregate(view: RunView) -> dict:
     series: dict[str, dict[str, float]] = {}
     for node, gto_cycles in per_sched["gto"].items():
         series[node] = {
-            s.upper(): round(per_sched[s][node] / gto_cycles, 4) for s in SCHEDULERS
+            s.upper(): round(per_sched[s][node] / gto_cycles, 4) for s in WARP_SCHEDULERS
         }
     return series
 

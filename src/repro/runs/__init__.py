@@ -15,7 +15,8 @@ single orchestration layer behind all of them:
   required runs and dedupes them into a minimal :class:`Plan`.
 * :mod:`repro.runs.executor` — :class:`Executor`, the cached
   read-through front door to :func:`repro.gpu.simulator.simulate_network`
-  with process-pool fan-out over a plan's missing entries.
+  with process-pool fan-out over a plan's missing entries; a run that
+  fails is attempted once and then raises :class:`RunFailed`.
 * :mod:`repro.runs.experiment` — the declarative :class:`Experiment`
   spec (required runs, aggregate fn, checks, render hint) and
   :func:`run_experiment`.
@@ -35,7 +36,7 @@ Typical use::
     results = [run_experiment(e, executor, ctx) for e in experiments.values()]
 """
 
-from repro.runs.executor import ExecutionReport, Executor
+from repro.runs.executor import ExecutionReport, Executor, RunFailed
 from repro.runs.experiment import Experiment, RunView, run_experiment
 from repro.runs.planner import Plan, build_plan
 from repro.runs.spec import PlanContext, RunSpec, run_key
@@ -48,6 +49,7 @@ __all__ = [
     "Plan",
     "PlanContext",
     "ResultStore",
+    "RunFailed",
     "RunSpec",
     "RunView",
     "build_plan",

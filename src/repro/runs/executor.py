@@ -1,8 +1,11 @@
 """Execute a run plan against the unified store.
 
 :class:`Executor` is the cached read-through front door to
-:func:`repro.gpu.simulator.simulate_network`: memory -> stored network
-run -> fresh simulation.  :meth:`Executor.execute` fans a plan's
+:func:`repro.gpu.simulator.simulate_network`: memory -> recorded
+failure -> stored network run -> fresh simulation.  Every simulation is
+one attempt in :func:`_attempts`, whether :meth:`Executor.run`,
+:meth:`Executor.execute` or a worker process asks, and a failed run is
+attempted once per executor.  :meth:`Executor.execute` fans a plan's
 missing entries out over a process pool, merging results in submission
 order so the store's contents are deterministic regardless of worker
 completion order.  Only the executor, in the parent process, writes
@@ -14,11 +17,11 @@ payload, so every consumer sees byte-identical values whether the run
 was fresh or a hit.
 
 When a tracer is installed (:mod:`repro.obs`), the executor records
-wall-clock spans for store probes, fresh simulations and whole-plan
-passes, plus ``runs.*`` hit/miss counters.  Worker processes spawned by
-:meth:`Executor.execute` do not inherit the tracer — only in-process
-work appears in a trace (the ``repro trace`` CLI therefore runs
-serially).
+wall-clock spans for store probes, attempts and whole-plan passes, plus
+``runs.*`` hit/miss/fresh/failed counters.  Spans recorded in worker
+processes spawned by :meth:`Executor.execute` stay there — only
+in-process work appears in a trace (the ``repro trace`` CLI therefore
+runs serially).
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.gpu.simulator import L1Memo, NetworkResult
 from repro.obs.tracer import WALL_S, get_tracer
@@ -40,10 +44,10 @@ from repro.runs.store import ResultStore, result_from_payload, result_to_payload
 class ExecutionReport:
     """Outcome of one :meth:`Executor.execute` pass.
 
-    ``failed`` maps the content key of every spec whose simulation
-    raised to ``"<describe>: <ErrorType>: <message>"`` — a failing run
-    no longer aborts the batch, it is reported per-spec and its
-    sibling runs complete.
+    ``failed`` maps the content key of every planned spec whose run
+    failed on this executor, in this pass or an earlier one, to
+    ``"<describe>: <ErrorType>: <message>"``; a failing run does not
+    abort the pass, and its sibling runs complete.
     """
 
     planned: int
@@ -79,6 +83,11 @@ class ExecutionReport:
         )
 
 
+class RunFailed(Exception):
+    """A run whose simulation raised; the message is the executor's one
+    line, ``"<run>: <ErrorType>: <message>"``."""
+
+
 class Executor:
     """Cached, parallelizable runner of :class:`RunSpec` simulations.
 
@@ -99,95 +108,54 @@ class Executor:
         self.fresh = 0
         #: Lookups served from memory or the store.
         self.hits = 0
+        #: ``key -> "<run>: <ErrorType>: <message>"`` of every run that
+        #: failed here; the executor never attempts such a run again.
+        self.failed: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def run(self, spec: RunSpec, refresh: bool = False) -> NetworkResult:
-        """Run (or load) one network simulation.
+        """Run (or load) one network simulation; a failed run raises
+        :class:`RunFailed`.
 
         ``refresh=True`` skips the memory and store reads and simulates
         unconditionally, re-storing the result — the ``repro trace``
         CLI uses it so a trace always contains live GPU spans even when
-        the run is already cached.
+        the run is already cached.  A run that failed on this executor
+        raises again without another attempt, refresh or not.
         """
-        tracer = get_tracer()
-        key = spec.key()
-        if not refresh:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self.hits += 1
-                if tracer.enabled:
-                    tracer.metrics.counter("runs.memory_hits").inc()
-                return cached
-            if self.store is not None:
-                probe_start = tracer.wall()
-                stored = self.store.get_run(spec)
-                if tracer.enabled:
-                    tracer.span(
-                        f"probe {spec.network}", "cache", WALL_S,
-                        probe_start, tracer.wall() - probe_start,
-                        process="runs", thread="executor",
-                        args={"run": spec.describe(), "hit": stored is not None},
-                    )
-                    tracer.metrics.counter(
-                        "runs.store_hits" if stored is not None else "runs.store_misses"
-                    ).inc()
-                if stored is not None:
-                    self._memory[key] = stored
-                    self.hits += 1
-                    return stored
-        if self.verbose:
-            print(f"[run] simulating {spec.describe()}", flush=True)
-        sim_start = tracer.wall()
-        payload = _simulate_spec(spec, self.l1_memo)
-        if tracer.enabled:
-            tracer.span(
-                f"simulate {spec.network}", "run", WALL_S,
-                sim_start, tracer.wall() - sim_start,
-                process="runs", thread="executor",
-                args={"run": spec.describe(), "refresh": refresh},
-            )
-            tracer.metrics.counter("runs.fresh").inc()
-        if self.store is not None:
-            self.store.put_run(spec, payload)
-        result = result_from_payload(payload, spec.config, spec.options)
-        assert result is not None  # freshly encoded payloads always decode
-        self._memory[key] = result
-        self.fresh += 1
+        result = self._lookup(spec, refresh)
+        if result is None:
+            (outcome,) = _attempts([spec], self.l1_memo, self.verbose)
+            result = self._settle(spec, *outcome)
         return result
 
     def execute(self, plan: Plan | Sequence[RunSpec], jobs: int = 1) -> ExecutionReport:
         """Materialize every planned run, fanning misses over *jobs*
         worker processes; returns fresh/cached counts.
 
-        A run whose simulation raises does not abort the pass: the
-        failure is recorded under the spec's content key in
-        :attr:`ExecutionReport.failed` (with the spec's human identity
-        and the error) and every sibling run still completes.
+        One lookup per unique spec serves it from memory or the store,
+        or finds its recorded failure; the rest are attempted once each.
+        A failed run does not abort the pass: its one line lands in
+        :attr:`ExecutionReport.failed` and every sibling run completes.
         """
         tracer = get_tracer()
         pass_start = tracer.wall()
         specs = plan.specs if isinstance(plan, Plan) else tuple(plan)
-        pending = self._missing(specs)
         fresh_before = self.fresh
-        failed: dict[str, str] = {}
+        unique = {spec.key(): spec for spec in specs}
+        pending: list[RunSpec] = []
+        for spec in unique.values():
+            with suppress(RunFailed):
+                if self._lookup(spec) is None:
+                    pending.append(spec)
         if jobs > 1 and len(pending) > 1:
-            failed = self._execute_parallel(pending, jobs)
+            outcomes = _pool_attempts(pending, jobs)
         else:
-            for spec, after in zip(pending, [*pending[1:], None]):
-                self.l1_memo.keep_programs = _shares_programs(spec, after)
-                try:
-                    self.run(spec)
-                except Exception as exc:  # surfaced per-run, not raised
-                    failed[spec.key()] = _failure_message(spec, exc)
-        # Touch every planned spec so memory holds the full matrix and
-        # the hit/fresh counters reflect the whole plan.
-        for spec in specs:
-            key = spec.key()
-            if key not in self._memory and key not in failed:
-                try:
-                    self.run(spec)
-                except Exception as exc:
-                    failed[key] = _failure_message(spec, exc)
+            outcomes = zip(pending, _attempts(pending, self.l1_memo, self.verbose))
+        for spec, outcome in outcomes:
+            with suppress(RunFailed):
+                self._settle(spec, *outcome)
+        failed = {key: self.failed[key] for key in unique if key in self.failed}
         fresh = self.fresh - fresh_before
         report = ExecutionReport(
             planned=len(specs),
@@ -196,8 +164,6 @@ class Executor:
             failed=failed,
         )
         if tracer.enabled:
-            if failed:
-                tracer.metrics.counter("runs.failed").inc(len(failed))
             tracer.span(
                 "execute-plan", "plan", WALL_S,
                 pass_start, tracer.wall() - pass_start,
@@ -213,55 +179,57 @@ class Executor:
         return report
 
     # ------------------------------------------------------------------
-    def _missing(self, specs: Iterable[RunSpec]) -> list[RunSpec]:
-        """Planned specs with no memory or store entry (dedup by key)."""
-        missing: list[RunSpec] = []
-        seen: set[str] = set()
-        for spec in specs:
-            key = spec.key()
-            if key in seen or key in self._memory:
-                continue
-            seen.add(key)
-            if self.store is not None and self.store.run_path(spec).exists():
-                continue
-            missing.append(spec)
-        return missing
+    def _lookup(self, spec: RunSpec, refresh: bool = False) -> NetworkResult | None:
+        """*spec*'s result from memory or the store; None when it must be
+        attempted, :class:`RunFailed` when it failed here.  ``refresh``
+        skips both reads, not the failure."""
+        tracer = get_tracer()
+        key = spec.key()
+        cached = None if refresh else self._memory.get(key)
+        if cached is not None:
+            self.hits += 1
+            if tracer.enabled:
+                tracer.metrics.counter("runs.memory_hits").inc()
+            return cached
+        if key in self.failed:
+            raise RunFailed(self.failed[key])
+        if refresh or self.store is None:
+            return None
+        probe_start = tracer.wall()
+        stored = self.store.get_run(spec)
+        if tracer.enabled:
+            tracer.span(
+                f"probe {spec.network}", "cache", WALL_S,
+                probe_start, tracer.wall() - probe_start,
+                process="runs", thread="executor",
+                args={"run": spec.describe(), "hit": stored is not None},
+            )
+            tracer.metrics.counter(
+                "runs.store_hits" if stored is not None else "runs.store_misses"
+            ).inc()
+        if stored is not None:
+            self._memory[key] = stored
+            self.hits += 1
+        return stored
 
-    def _execute_parallel(self, pending: list[RunSpec], jobs: int) -> dict[str, str]:
-        """Fan *pending* out over worker processes in chunks.
-
-        Campaign-scale plans submit thousands of specs; chunking caps
-        the submission queue and per-future IPC at a few dozen tasks
-        per worker instead of one task per spec.  Workers catch
-        per-spec exceptions and report them alongside successful
-        payloads, so one failing combo costs one table cell, not the
-        batch.  A worker that dies breaks the pool: every chunk it has
-        not finished, submitted or not, fails with ``BrokenProcessPool``.
-        Returns ``key -> failure message``.
-        """
-        chunks = chunk_specs(pending, jobs)
-        failed: dict[str, str] = {}
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            futures = [_submit(pool, chunk) for chunk in chunks]
-            # Canonical-order merge: collect in submission order so the
-            # store contents are deterministic no matter which worker
-            # finishes first.
-            for chunk, future in zip(chunks, futures):
-                try:
-                    outcomes = future.result()
-                except Exception as exc:  # the worker process itself died
-                    outcomes = [(None, f"{type(exc).__name__}: {exc}")] * len(chunk)
-                for spec, (payload, error) in zip(chunk, outcomes):
-                    if error is not None:
-                        failed[spec.key()] = f"{spec.describe()}: {error}"
-                        continue
-                    if self.store is not None:
-                        self.store.put_run(spec, payload)
-                    result = result_from_payload(payload, spec.config, spec.options)
-                    assert result is not None
-                    self._memory[spec.key()] = result
-                    self.fresh += 1
-        return failed
+    def _settle(
+        self, spec: RunSpec, payload: dict | None, error: str | None
+    ) -> NetworkResult:
+        """Keep one attempt's outcome: store, decode and remember its
+        payload, or record its failure and raise :class:`RunFailed`."""
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.metrics.counter("runs.fresh" if error is None else "runs.failed").inc()
+        if error is not None:
+            message = self.failed[spec.key()] = f"{spec.describe()}: {error}"
+            raise RunFailed(message)
+        if self.store is not None:
+            self.store.put_run(spec, payload)
+        result = result_from_payload(payload, spec.config, spec.options)
+        assert result is not None  # freshly encoded payloads always decode
+        self._memory[spec.key()] = result
+        self.fresh += 1
+        return result
 
 
 #: Upper bound on specs per worker task (an L1D-size group that is
@@ -304,6 +272,27 @@ def chunk_specs(pending: Sequence[RunSpec], jobs: int) -> list[list[RunSpec]]:
     return chunks
 
 
+def _pool_attempts(pending: list[RunSpec], jobs: int):
+    """:func:`_attempts` over worker processes: yields ``(spec,
+    outcome)`` chunk by chunk, in submission order, so the store's
+    contents do not depend on which worker finishes first.
+
+    Chunking caps the submission queue and per-future IPC of a
+    campaign-scale plan at a few dozen tasks per worker.  A worker that
+    dies breaks the pool: every chunk it has not finished, submitted or
+    not, fails with ``BrokenProcessPool``.
+    """
+    chunks = chunk_specs(pending, jobs)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        futures = [_submit(pool, chunk) for chunk in chunks]
+        for chunk, future in zip(chunks, futures):
+            try:
+                outcomes = future.result()
+            except Exception as exc:  # the worker process itself died
+                outcomes = [(None, f"{type(exc).__name__}: {exc}")] * len(chunk)
+            yield from zip(chunk, outcomes)
+
+
 def _submit(pool: ProcessPoolExecutor, chunk: list[RunSpec]) -> Future:
     """Submit one chunk; a pool that a dead worker broke refuses it, and
     the chunk then gets a future holding that error."""
@@ -315,8 +304,11 @@ def _submit(pool: ProcessPoolExecutor, chunk: list[RunSpec]) -> Future:
         return future
 
 
-def _failure_message(spec: RunSpec, exc: Exception) -> str:
-    return f"{spec.describe()}: {type(exc).__name__}: {exc}"
+def _simulate_chunk_worker(specs: Sequence[RunSpec]) -> list[tuple]:
+    """One worker task: the chunk's outcomes, from one
+    :class:`~repro.gpu.simulator.L1Memo` of its own.  The worker opens
+    no store: the parent settles every outcome."""
+    return list(_attempts(specs, L1Memo()))
 
 
 def _program_scope(spec: RunSpec | None) -> tuple | None:
@@ -356,22 +348,30 @@ def _simulate_spec(spec: RunSpec, l1_memo: L1Memo) -> dict:
     return result_to_payload(live)
 
 
-def _simulate_chunk_worker(specs: Sequence[RunSpec]) -> list[tuple]:
-    """Simulate a chunk of specs, catching per-spec failures.
+def _attempts(specs: Sequence[RunSpec], l1_memo: L1Memo, verbose: bool = False):
+    """Attempt each spec once, in order.
 
-    Returns one ``(payload, None)`` or ``(None, "ErrType: message")``
-    pair per spec, aligned with the input order.  The chunk's specs
-    share one :class:`~repro.gpu.simulator.L1Memo`, which keeps decoded
-    programs while the next spec is the same network at the same loop
-    budgets.  The worker opens no store: the parent writes every run
-    entry.
+    Yields ``(payload, None)`` or ``(None, "ErrType: message")`` per
+    spec: a failure is surfaced per run, never raised.  *l1_memo* keeps
+    decoded programs while the next spec is the same network at the
+    same loop budgets.  With a tracer installed, each attempt records a
+    ``simulate`` span (category ``run``).
     """
-    l1_memo = L1Memo()
-    outcomes: list[tuple] = []
+    tracer = get_tracer()
     for spec, after in zip(specs, [*specs[1:], None]):
         l1_memo.keep_programs = _shares_programs(spec, after)
+        if verbose:
+            print(f"[run] simulating {spec.describe()}", flush=True)
+        sim_start = tracer.wall()
         try:
-            outcomes.append((_simulate_spec(spec, l1_memo), None))
+            outcome = (_simulate_spec(spec, l1_memo), None)
         except Exception as exc:
-            outcomes.append((None, f"{type(exc).__name__}: {exc}"))
-    return outcomes
+            outcome = (None, f"{type(exc).__name__}: {exc}")
+        if tracer.enabled:
+            tracer.span(
+                f"simulate {spec.network}", "run", WALL_S,
+                sim_start, tracer.wall() - sim_start,
+                process="runs", thread="executor",
+                args={"run": spec.describe()},
+            )
+        yield outcome

@@ -192,7 +192,7 @@ class ServeSim:
             self.devices.append(
                 self._make_state(device, self._slices[index], index, 0.0)
             )
-        scheduler = self.pipeline.scheduler or make_scheduler(config.scheduler)
+        scheduler = make_scheduler(config.scheduler)
         reset = getattr(scheduler, "reset", None)
         if reset is not None:
             reset()
@@ -200,7 +200,6 @@ class ServeSim:
         if attach is not None:
             attach(self._depth_index)
         self._scheduler = scheduler
-        self._scheduler_label = getattr(scheduler, "name", config.scheduler)
         self._admission = self.pipeline.admission
         self._autoscaler = self.pipeline.autoscaler
         if self._autoscaler is not None:
@@ -586,7 +585,7 @@ class ServeSim:
                 "final_devices": self._accepting_count,
             }
         return ServeStats(
-            scheduler=self._scheduler_label,
+            scheduler=self.config.scheduler,
             seed=self.config.seed,
             slo_ms=self.config.slo_ms,
             offered=self._offered,

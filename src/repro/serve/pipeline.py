@@ -21,11 +21,12 @@ Every request that enters the simulator flows through five stages
 Orthogonally, the **autoscaler** observes the fleet at a fixed
 simulated cadence (tick events) and grows or drains it.
 
-:class:`ServePipeline` bundles the pluggable stages.  Policies must be
-deterministic — same inputs, same answers — because a fixed seed must
-reproduce bit-identical statistics (the serve-scale digest golden pins
-one scenario).  Policies may keep per-run state if they
-expose ``reset()``, which the engine calls at the start of every run;
+:class:`ServePipeline` bundles the admission and autoscaling policies;
+the engine builds the scheduler ``ServeConfig.scheduler`` names.
+Policies must be deterministic — same inputs, same answers — because a
+fixed seed must reproduce bit-identical statistics (the serve-scale
+digest golden pins one scenario).  Policies may keep per-run state if
+they expose ``reset()``, which the engine calls at the start of every run;
 schedulers may additionally expose ``attach(index)``, which the engine
 calls after ``reset()`` with the fleet's
 :class:`~repro.serve.devices.DepthIndex`, to pick a device in O(1)
@@ -38,31 +39,26 @@ from dataclasses import dataclass, field
 
 from repro.serve.admission import AdmissionPolicy, NullAdmission, make_admission
 from repro.serve.autoscale import AutoscaleConfig, QueueDepthAutoscaler
-from repro.serve.schedulers import Scheduler, make_scheduler
 
 
 @dataclass
 class ServePipeline:
     """The pluggable stages of one serving simulation.
 
-    ``scheduler=None`` defers to the engine's ``ServeConfig.scheduler``
-    name; ``autoscaler=None`` runs a fixed fleet.
+    ``autoscaler=None`` runs a fixed fleet.
     """
 
     admission: AdmissionPolicy = field(default_factory=NullAdmission)
-    scheduler: Scheduler | None = None
     autoscaler: QueueDepthAutoscaler | None = None
 
 
 def make_pipeline(
     admission: str = "none",
-    scheduler: str | None = None,
     autoscale: AutoscaleConfig | None = None,
     admission_options: dict | None = None,
 ) -> ServePipeline:
     """Build a :class:`ServePipeline` from policy names and configs."""
     return ServePipeline(
         admission=make_admission(admission, **(admission_options or {})),
-        scheduler=make_scheduler(scheduler) if scheduler else None,
         autoscaler=QueueDepthAutoscaler(autoscale) if autoscale else None,
     )

@@ -32,9 +32,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.gpu.config import GpuConfig, SimOptions
+from repro.runs.executor import Executor, RunFailed
+from repro.runs.spec import RunSpec
 
 
-class ProfileError(Exception):
+class ProfileError(RunFailed):
     """A profile build whose batch-1 runs failed: the message holds one
     ``"<run>: <ErrorType>: <message>"`` line per failed run."""
 
@@ -184,14 +186,12 @@ def build_profiles(
     reading the store — ``repro trace serve`` uses it so an installed
     tracer (:mod:`repro.obs`) always sees the GPU layer.
 
-    Without ``refresh``, a pair whose simulation raises (a platform the
-    mapper cannot tile, say) is simulated once: the build raises
+    A pair whose simulation raises (a platform the mapper cannot tile,
+    say) is simulated once.  The build then raises
     :class:`ProfileError` with the executor's one-line report of every
-    failed run.
+    failed run, or, under ``refresh``, the executor's
+    :class:`~repro.runs.executor.RunFailed` for the first one.
     """
-    from repro.runs.executor import Executor
-    from repro.runs.spec import RunSpec
-
     options = options or SimOptions()
     unique: dict[str, GpuConfig] = {}
     for platform in platforms:
@@ -203,18 +203,14 @@ def build_profiles(
         for name in dict.fromkeys(networks)
         for platform in unique.values()
     ]
-    if refresh:
-        for spec in specs:
-            executor.run(spec, refresh=True)
-    else:
+    if not refresh:
         failed = executor.execute(specs, jobs=jobs).failed
         if failed:
             raise ProfileError("\n".join(failed.values()))
-    profiles: dict[tuple[str, str], LatencyProfile] = {}
-    for spec in specs:
-        result = executor.run(spec)
-        profiles[(spec.network, spec.config.name)] = profile_from_result(result)
-    return profiles
+    return {
+        (spec.network, spec.config.name): profile_from_result(executor.run(spec, refresh))
+        for spec in specs
+    }
 
 
 def profiles_for_platform(

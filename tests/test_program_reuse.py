@@ -29,6 +29,7 @@ from repro.kernels.compile import compiled_network
 from repro.obs import capture_trace
 from repro.platforms import make_config
 from repro.runs import Executor, ResultStore, RunSpec
+from repro.runs import executor as executor_mod
 
 LIGHT = SimOptions().light()
 
@@ -49,14 +50,14 @@ def _payloads(store: ResultStore, specs) -> list[bytes]:
 def _held_after_each_run(executor: Executor, monkeypatch) -> list[int]:
     """Record how many programs the memo holds after each run."""
     held: list[int] = []
-    run = executor.run
+    simulate = executor_mod._simulate_spec
 
-    def spy(spec, refresh=False):
-        result = run(spec, refresh)
+    def spy(spec, l1_memo):
+        payload = simulate(spec, l1_memo)
         held.append(len(executor.l1_memo.programs))
-        return result
+        return payload
 
-    monkeypatch.setattr(executor, "run", spy)
+    monkeypatch.setattr(executor_mod, "_simulate_spec", spy)
     return held
 
 
