@@ -77,24 +77,20 @@ class QorModel:
     """Per-run derived quantities, memoized across batch variants.
 
     Campaign points sharing a :class:`~repro.runs.spec.RunSpec` (batch
-    variants) also share the latency profile and the energy split, so
-    both are computed once per run key, not once per point.
+    variants) also share the latency profile, which carries the energy
+    split, and the peak power, so both are computed once per run key,
+    not once per point.
     """
 
     def __init__(self) -> None:
         self._per_run: dict[str, tuple] = {}
 
-    def _run_terms(self, run_key: str, result, config) -> tuple:
+    def _run_terms(self, run_key: str, result) -> tuple:
         terms = self._per_run.get(run_key)
         if terms is None:
-            profile = profile_from_result(result)
-            model = power_model_for(config)
-            aggregate = result.aggregate()
             terms = (
-                profile,
-                model.dynamic_energy_joules(aggregate),
-                model.static_watts,
-                model.peak_power(result),
+                profile_from_result(result),
+                power_model_for(result.config).peak_power(result),
             )
             self._per_run[run_key] = terms
         return terms
@@ -102,13 +98,11 @@ class QorModel:
     def row(self, point: CampaignPoint, run_key: str, result) -> QorRow:
         """The QoR row of one point, given its stored simulation."""
         config = result.config
-        profile, dynamic_j, static_w, peak_w = self._run_terms(
-            run_key, result, config
-        )
+        profile, peak_w = self._run_terms(run_key, result)
         batch = point.batch
         latency_ms = profile.latency_ms(batch)
         cycles = latency_ms * config.clock_ghz * 1e6
-        energy_j = dynamic_j * batch + static_w * latency_ms / 1e3
+        energy_j = profile.dynamic_j * batch + profile.static_watts * latency_ms / 1e3
         energy_per_inf = energy_j / batch
         weight_bytes, activation_bytes = _footprint_parts(point.network)
         footprint_kb = (weight_bytes + batch * activation_bytes) / 1024.0

@@ -498,17 +498,16 @@ def _cmd_trace_simulate(args: argparse.Namespace) -> int:
     tracer = _trace_tracer(args)
     previous = set_tracer(tracer)
     runs = []  # (run identity, that run's kernel spans)
+    specs = [RunSpec(name, config, options) for name in names for config in configs]
     try:
-        executor = Executor(store)
-        for name in names:
-            for config in configs:
-                spec = RunSpec(name, config, options)
-                first = len(tracer.spans)
-                # refresh=True: re-simulate even on a warm store so the
-                # trace always contains live GPU spans.
-                executor.run(spec, refresh=True)
-                kernels = [span for span in tracer.spans[first:] if span.cat == "kernel"]
-                runs.append((spec.describe(), kernels))
+        first = len(tracer.spans)
+        # simulate(): re-simulate even on a warm store so the trace
+        # always contains live GPU spans; each result settles before the
+        # next run starts, so the spans since the last one are its own.
+        for spec, _ in zip(specs, Executor(store).simulate(specs)):
+            kernels = [span for span in tracer.spans[first:] if span.cat == "kernel"]
+            runs.append((spec.describe(), kernels))
+            first = len(tracer.spans)
     finally:
         set_tracer(previous)
     payload = write_trace(tracer, args.output, meta={

@@ -57,13 +57,11 @@ class Layer:
 
     def activation_bytes(self, in_shapes: Sequence[Shape]) -> int:
         """Bytes of the output activation tensor (f32)."""
-        return 4 * int(np.prod(self.out_shape(in_shapes)))
+        return 4 * math.prod(self.out_shape(in_shapes))
 
     def weight_bytes(self, in_shapes: Sequence[Shape]) -> int:
         """Bytes of all weight tensors (f32)."""
-        return 4 * sum(
-            int(np.prod(shape)) for shape in self.weight_shapes(in_shapes).values()
-        )
+        return 4 * sum(math.prod(shape) for shape in self.weight_shapes(in_shapes).values())
 
 
 @dataclass

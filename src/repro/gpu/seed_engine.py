@@ -489,7 +489,7 @@ def simulate_network(
     name: str, config: GpuConfig, options: SimOptions | None = None
 ):
     """Seed-engine twin of :func:`repro.gpu.simulator.simulate_network`."""
-    from repro.gpu.simulator import KernelResult, NetworkResult, _copy_stats
+    from repro.gpu.simulator import KernelResult, NetworkResult
 
     options = options or SimOptions()
     result = NetworkResult(network=name, config=config, options=options)
@@ -503,7 +503,7 @@ def simulate_network(
         else:
             hit = KernelResult(
                 kernel=kernel,
-                stats=_copy_stats(hit.stats),
+                stats=hit.stats.copy(),
                 occupancy=hit.occupancy,
                 sample_factor=hit.sample_factor,
                 block_factor=hit.block_factor,

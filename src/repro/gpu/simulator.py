@@ -400,7 +400,7 @@ def simulate_kernel(
     # Always scale a copy: the cached wave stats stay pristine for the
     # next launch of the class (copying is exact, so the dedup-off path
     # produces bit-identical numbers).
-    stats = _copy_stats(run.stats)
+    stats = run.stats.copy()
     dynamic = kernel.program.dynamic_count()
     sample_factor = dynamic / max(1, run.n_expanded)
     block_factor = kernel.total_blocks / sim_blocks
@@ -504,7 +504,7 @@ def simulate_network(
             source = "local"
             hit = KernelResult(
                 kernel=kernel,
-                stats=_copy_stats(hit.stats),
+                stats=hit.stats.copy(),
                 occupancy=hit.occupancy,
                 sample_factor=hit.sample_factor,
                 block_factor=hit.block_factor,
@@ -528,13 +528,3 @@ def simulate_network(
         tracer.metrics.counter("analysis.dedup.unique").inc(unique)
         tracer.metrics.counter("analysis.dedup.replicated").inc(requested - unique)
     return result
-
-
-def _copy_stats(stats: KernelStats) -> KernelStats:
-    """Deep-enough copy so repeated kernels aggregate independently."""
-    clone = KernelStats()
-    clone.merge(stats)
-    clone.cycles = stats.cycles
-    clone.wave_cycles = stats.wave_cycles
-    clone.waves = stats.waves
-    return clone

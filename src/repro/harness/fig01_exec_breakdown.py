@@ -31,7 +31,7 @@ def _fractions(view: RunView, name: str) -> dict[str, float]:
 def _aggregate(view: RunView) -> dict:
     series: dict[str, dict[str, float]] = {}
     for name in view.nets(CNNS):
-        fractions = _fractions(view, name)
+        fractions = view.memo(_fractions, view, name)
         series[display(name)] = {cat: round(frac, 4) for cat, frac in fractions.items()}
     return series
 
@@ -39,7 +39,7 @@ def _aggregate(view: RunView) -> dict:
 def _checks(view: RunView, series: dict) -> list[Check]:
     checks: list[Check] = []
     for name in view.nets(CNNS):
-        fractions = _fractions(view, name)
+        fractions = view.memo(_fractions, view, name)
         conv_like = fractions.get("Conv", 0.0)
         if name == "squeezenet":
             conv_like += fractions.get("Fire_Squeeze", 0.0) + fractions.get("Fire_Expand", 0.0)

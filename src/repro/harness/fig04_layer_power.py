@@ -21,14 +21,17 @@ def _plan(ctx: PlanContext) -> tuple[RunSpec, ...]:
     return tuple(RunSpec(name, sim_platform(), ctx.options) for name in ctx.nets(CNNS))
 
 
+def _category_power(view: RunView, name: str) -> dict[str, float]:
+    """Average power per layer type of one network's run."""
+    platform = sim_platform()
+    return GpuWattchModel(platform).category_power(view.run(name, platform))
+
+
 def _conv_balance(view: RunView, name: str) -> tuple[float, float]:
     """(conv time share, conv power share), unrounded."""
-    platform = sim_platform()
-    model = GpuWattchModel(platform)
-    result = view.run(name, platform)
-    watts = model.category_power(result)
+    watts = view.memo(_category_power, view, name)
     total = sum(watts.values())
-    time_by_cat = result.cycles_by_category()
+    time_by_cat = view.run(name, sim_platform()).cycles_by_category()
     time_total = sum(time_by_cat.values())
     return (
         time_by_cat.get("Conv", 0.0) / time_total,
@@ -37,12 +40,9 @@ def _conv_balance(view: RunView, name: str) -> tuple[float, float]:
 
 
 def _aggregate(view: RunView) -> dict:
-    platform = sim_platform()
-    model = GpuWattchModel(platform)
     series: dict[str, dict[str, float]] = {}
     for name in view.nets(CNNS):
-        result = view.run(name, platform)
-        watts = model.category_power(result)
+        watts = view.memo(_category_power, view, name)
         total = sum(watts.values())
         series[display(name)] = {cat: round(w / total, 4) for cat, w in watts.items()}
     return series

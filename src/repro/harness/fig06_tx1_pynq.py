@@ -42,7 +42,7 @@ def _measure(view: RunView, name: str):
 def _aggregate(view: RunView) -> dict:
     series: dict[str, dict[str, float]] = {}
     for name in view.nets(NETWORKS):
-        tx1, pynq = _measure(view, name)
+        tx1, pynq = view.memo(_measure, view, name)
         energy_ratio = tx1.energy_j / pynq.energy_j
         series[display(name)] = {
             "TX1 (norm energy)": round(energy_ratio, 3),
@@ -58,7 +58,7 @@ def _aggregate(view: RunView) -> dict:
 def _checks(view: RunView, series: dict) -> list[Check]:
     checks: list[Check] = []
     for name in view.nets(NETWORKS):
-        tx1, pynq = _measure(view, name)
+        tx1, pynq = view.memo(_measure, view, name)
         power_ratio = tx1.peak_watts / pynq.peak_watts
         speed_ratio = pynq.time_s / tx1.time_s
         energy_ratio = tx1.energy_j / pynq.energy_j

@@ -21,7 +21,7 @@ def _mixes(view: RunView) -> dict[str, dict[str, float]]:
 
 def _aggregate(view: RunView) -> dict:
     series: dict[str, dict[str, float]] = {}
-    for name, mix in _mixes(view).items():
+    for name, mix in view.memo(_mixes, view).items():
         series[display(name)] = {
             op: round(frac, 3)
             for op, frac in sorted(mix.items(), key=lambda kv: -kv[1])
@@ -31,7 +31,7 @@ def _aggregate(view: RunView) -> dict:
 
 
 def _checks(view: RunView, series: dict) -> list[Check]:
-    mixes = _mixes(view)
+    mixes = view.memo(_mixes, view)
 
     def top_ops(name: str, n: int = 4) -> set[str]:
         return set(sorted(mixes[name], key=lambda op: -mixes[name][op])[:n])

@@ -23,13 +23,13 @@ PAPER_SHARES = {
 
 
 def _aggregate(view: RunView) -> dict:
-    ranked = top_ops(ALL_NETWORKS, n=10)
+    ranked = view.memo(top_ops, ALL_NETWORKS, 10)
     measured = {op: round(share, 3) for op, share in ranked}
     return {"measured": measured, "paper": PAPER_SHARES}
 
 
 def _checks(view: RunView, series: dict) -> list[Check]:
-    ranked = top_ops(ALL_NETWORKS, n=10)
+    ranked = view.memo(top_ops, ALL_NETWORKS, 10)
     measured = series["measured"]
     top4 = {"add", "mad", "shl", "mul"}
     top4_share = sum(share for op, share in ranked if op in top4)

@@ -27,23 +27,26 @@ def _dominant_dtype(hist):
 
 
 def _aggregate(view: RunView) -> dict:
-    per_kernel = dtype_mix_per_kernel("resnet")
+    per_kernel = view.memo(dtype_mix_per_kernel, "resnet")
     # The figure plots every layer; the series keeps a readable sample
     # of the invocation order plus the aggregate.
     sampled = {
         kernel_name: {dtype: round(frac, 3) for dtype, frac in mix.items()}
         for kernel_name, mix in per_kernel[:: max(1, len(per_kernel) // 16)]
     }
-    return {"per_kernel_sample": sampled, "f32_total": round(f32_fraction("resnet"), 3)}
+    return {
+        "per_kernel_sample": sampled,
+        "f32_total": round(view.memo(f32_fraction, "resnet"), 3),
+    }
 
 
 def _checks(view: RunView, series: dict) -> list[Check]:
     from repro.profiling.instmix import network_histogram  # local import, cheap
     from repro.isa.dtypes import DType
 
-    per_kernel = dtype_mix_per_kernel("resnet")
+    per_kernel = view.memo(dtype_mix_per_kernel, "resnet")
     f32_by_layer = [mix.get("f32", 0.0) for _, mix in per_kernel if mix]
-    f32_total = f32_fraction("resnet")
+    f32_total = view.memo(f32_fraction, "resnet")
     hist = network_histogram("resnet")
     typed_total = sum(v for (op, dt), v in hist.items() if dt is not DType.NONE)
     int_share_total = (

@@ -25,14 +25,14 @@ REFERENCE_MODEL_MB = {
 
 
 def _aggregate(view: RunView) -> dict:
-    reports = {name: footprint(name) for name in NETWORKS}
+    reports = {name: view.memo(footprint, name) for name in NETWORKS}
     return {
         "footprint_kb": {name: round(rep.total_kb, 1) for name, rep in reports.items()}
     }
 
 
 def _checks(view: RunView, series: dict) -> list[Check]:
-    reports = {name: footprint(name) for name in NETWORKS}
+    reports = {name: view.memo(footprint, name) for name in NETWORKS}
     checks = [
         Check(
             "GRU and LSTM fit in under 500 KB",

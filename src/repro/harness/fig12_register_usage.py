@@ -24,11 +24,21 @@ KB = 1024.0
 
 
 def register_usage(name: str) -> tuple[float, float]:
-    """(max allocated KB, max live KB) over the network's kernels."""
+    """(max allocated KB, max live KB) over the network's kernels.
+
+    Occupancy and liveness read only what the launch signature pins
+    (geometry and the canonical program), and both peaks are maxima, so
+    each signature is measured once.
+    """
     config = sim_platform()
     alloc_peak = 0.0
     live_peak = 0.0
+    measured: set[str] = set()
     for kernel in compiled_network(name):
+        signature = kernel.signature()
+        if signature in measured:
+            continue
+        measured.add(signature)
         occ = compute_occupancy(kernel, config)
         alloc_kb = occ.allocated_register_bytes / KB
         live = max_live_registers(kernel.program).max_live
@@ -44,7 +54,7 @@ def _usage(view: RunView) -> dict[str, tuple[float, float]]:
 
 def _aggregate(view: RunView) -> dict:
     series: dict[str, dict[str, float]] = {}
-    for name, (alloc, live) in _usage(view).items():
+    for name, (alloc, live) in view.memo(_usage, view).items():
         series[display(name)] = {
             "Max Allocated Registers (KB)": round(alloc, 1),
             "Max Live Registers (KB)": round(live, 1),
@@ -53,7 +63,7 @@ def _aggregate(view: RunView) -> dict:
 
 
 def _checks(view: RunView, series: dict) -> list[Check]:
-    usage = _usage(view)
+    usage = view.memo(_usage, view)
     rf_kb = sim_platform().register_file_bytes_per_sm / KB
     return [
         Check(

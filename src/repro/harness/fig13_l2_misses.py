@@ -47,12 +47,12 @@ def _misses(view: RunView) -> dict[str, dict[str, float]]:
 def _aggregate(view: RunView) -> dict:
     return {
         display(name): {cat: round(v, 0) for cat, v in per_cat.items()}
-        for name, per_cat in _misses(view).items()
+        for name, per_cat in view.memo(_misses, view).items()
     }
 
 
 def _checks(view: RunView, series: dict) -> list[Check]:
-    misses = _misses(view)
+    misses = view.memo(_misses, view)
 
     def top2(name: str) -> list[str]:
         cats = misses[name]

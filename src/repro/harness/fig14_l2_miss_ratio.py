@@ -49,12 +49,12 @@ def _ratios(view: RunView) -> dict[str, dict[str, float]]:
 def _aggregate(view: RunView) -> dict:
     return {
         display(name): {cat: round(v, 4) for cat, v in per_cat.items()}
-        for name, per_cat in _ratios(view).items()
+        for name, per_cat in view.memo(_ratios, view).items()
     }
 
 
 def _checks(view: RunView, series: dict) -> list[Check]:
-    ratios = _ratios(view)
+    ratios = view.memo(_ratios, view)
     conv_ratios = [r["Conv"] for r in ratios.values() if "Conv" in r]
     fc_ratios = [r["FC"] for r in ratios.values() if "FC" in r]
     conv_avg = sum(conv_ratios) / len(conv_ratios)

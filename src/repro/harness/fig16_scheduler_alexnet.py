@@ -45,7 +45,7 @@ def _per_sched(view: RunView) -> dict[str, dict[str, float]]:
 def _aggregate(view: RunView) -> dict:
     if NETWORK not in view.nets((NETWORK,)):
         return {}
-    per_sched = _per_sched(view)
+    per_sched = view.memo(_per_sched, view)
     series: dict[str, dict[str, float]] = {}
     for node, gto_cycles in per_sched["gto"].items():
         series[node] = {
@@ -55,7 +55,7 @@ def _aggregate(view: RunView) -> dict:
 
 
 def _checks(view: RunView, series: dict) -> list[Check]:
-    per_sched = _per_sched(view)
+    per_sched = view.memo(_per_sched, view)
     conv_nodes = [n for n in series if n.startswith("conv")]
     conv_gain = sum(1.0 - series[n]["LRR"] for n in conv_nodes) / len(conv_nodes)
     pool_nodes = [n for n in series if n.startswith("pool")]

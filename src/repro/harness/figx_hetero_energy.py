@@ -49,7 +49,7 @@ def _measure(view: RunView, name: str) -> dict[str, DeviceMeasurement]:
 def _aggregate(view: RunView) -> dict:
     series: dict[str, dict[str, float]] = {}
     for name in view.nets(NETWORKS):
-        measured = _measure(view, name)
+        measured = view.memo(_measure, view, name)
         baseline = measured["S2NPU"].energy_j
         row: dict[str, float] = {}
         for config in DEVICES:
@@ -66,7 +66,7 @@ def _aggregate(view: RunView) -> dict:
 def _checks(view: RunView, series: dict) -> list[Check]:
     checks: list[Check] = []
     for name in view.nets(NETWORKS):
-        m = _measure(view, name)
+        m = view.memo(_measure, view, name)
         gpu, fpga, npu = m["TX1"], m["ZCU102"], m["S2NPU"]
         checks.append(
             Check(

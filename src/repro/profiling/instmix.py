@@ -74,27 +74,41 @@ def top_ops(names: tuple[str, ...], n: int = 10) -> list[tuple[str, float]]:
     return pooled.most_common(n)
 
 
+def _dtype_mix(program: Program) -> dict[str, float]:
+    """Data-type fractions of one thread's dynamic instructions.
+
+    Control instructions with no data type are excluded, as in the
+    paper's Figure 10.
+    """
+    hist = program_histogram(program)
+    typed = {
+        (op, dtype): count
+        for (op, dtype), count in hist.items()
+        if dtype is not DType.NONE
+    }
+    total = sum(typed.values())
+    mix: dict[str, float] = {}
+    if total:
+        for (_op, dtype), count in typed.items():
+            mix[dtype.value] = mix.get(dtype.value, 0.0) + count / total
+    return mix
+
+
 def dtype_mix_per_kernel(name: str) -> list[tuple[str, dict[str, float]]]:
     """Figure 10: per-kernel data-type fractions, in invocation order.
 
     Returns ``(kernel_name, {dtype: fraction})`` for every kernel of the
-    network; control instructions with no data type are excluded, as in
-    the paper's plot.
+    network.  Launches with one signature share a canonical program, so
+    each signature's mix is computed once; every launch gets its own
+    copy of it.
     """
+    mixes: dict[str, dict[str, float]] = {}
     out: list[tuple[str, dict[str, float]]] = []
     for kernel in compiled_network(name):
-        hist = program_histogram(kernel.program)
-        typed = {
-            (op, dtype): count
-            for (op, dtype), count in hist.items()
-            if dtype is not DType.NONE
-        }
-        total = sum(typed.values())
-        mix: dict[str, float] = {}
-        if total:
-            for (_op, dtype), count in typed.items():
-                mix[dtype.value] = mix.get(dtype.value, 0.0) + count / total
-        out.append((kernel.name, mix))
+        signature = kernel.signature()
+        if signature not in mixes:
+            mixes[signature] = _dtype_mix(kernel.program)
+        out.append((kernel.name, dict(mixes[signature])))
     return out
 
 

@@ -10,9 +10,8 @@ why the measured footprint tracks pre-trained model size (Observation 9).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.graph import INPUT, NetworkGraph
 from repro.core.suite import get_network
@@ -47,7 +46,8 @@ class FootprintReport:
 
 
 def _activation_bytes(graph: NetworkGraph, name: str) -> int:
-    return 4 * int(np.prod(graph.out_shape(name)))
+    """f32 bytes of node *name*'s output (or of :data:`INPUT`)."""
+    return 4 * math.prod(graph.out_shape(name))
 
 
 def peak_activation_bytes(graph: NetworkGraph) -> int:
@@ -55,30 +55,30 @@ def peak_activation_bytes(graph: NetworkGraph) -> int:
 
     Walks the layer sequence tracking which producer outputs are still
     needed by later consumers (ResNet shortcuts keep an extra tensor
-    alive across a whole bottleneck body).
+    alive across a whole bottleneck body).  A layer's output stays live
+    through the next layer at least.  Each tensor is sized once, when
+    it becomes live, and the walk keeps the live total as it goes.
     """
     last_use: dict[str, int] = {}
     for index, node in enumerate(graph.nodes):
         for src in node.inputs:
             last_use[src] = index
-    live: set[str] = {INPUT}
+    live = {INPUT: _activation_bytes(graph, INPUT)}
+    current = live[INPUT]
     peak = 0
     for index, node in enumerate(graph.nodes):
-        live.add(node.name)
-        current = sum(
-            _activation_bytes(graph, name) if name != INPUT else
-            4 * int(np.prod(graph.input_shape))
-            for name in live
-        )
+        live[node.name] = _activation_bytes(graph, node.name)
+        current += live[node.name]
         peak = max(peak, current)
-        live = {name for name in live if last_use.get(name, -1) > index}
-        live.add(node.name)
+        for name in [name for name in live
+                     if name != node.name and last_use.get(name, -1) <= index]:
+            current -= live.pop(name)
     return peak
 
 
 def all_activation_bytes(graph: NetworkGraph) -> int:
     """Sum of every layer's output buffer plus the input buffer."""
-    total = 4 * int(np.prod(graph.input_shape))
+    total = _activation_bytes(graph, INPUT)
     for node in graph.nodes:
         total += _activation_bytes(graph, node.name)
     return total

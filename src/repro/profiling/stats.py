@@ -10,6 +10,7 @@ the full chip (DESIGN.md section 6).
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -132,6 +133,13 @@ class KernelStats:
         for reason_name, value in data["stalls"].items():
             stats.stalls[StallReason(reason_name)] = value
         return stats
+
+    def copy(self) -> "KernelStats":
+        """An exact copy whose counters are independent of this one's."""
+        clone = copy.copy(self)
+        clone.issued_by_pipe = self.issued_by_pipe.copy()
+        clone.stalls = self.stalls.copy()
+        return clone
 
     def summary(self) -> str:
         """One-line rendering (the :class:`repro.stats.Stats` protocol)."""

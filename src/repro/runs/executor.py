@@ -4,12 +4,12 @@
 :func:`repro.gpu.simulator.simulate_network`: memory -> recorded
 failure -> stored network run -> fresh simulation.  Every simulation is
 one attempt in :func:`_attempts`, whether :meth:`Executor.run`,
-:meth:`Executor.execute` or a worker process asks, and a failed run is
-attempted once per executor.  :meth:`Executor.execute` fans a plan's
-missing entries out over a process pool, merging results in submission
-order so the store's contents are deterministic regardless of worker
-completion order.  Only the executor, in the parent process, writes
-run entries.
+:meth:`Executor.simulate`, :meth:`Executor.execute` or a worker process
+asks, and a failed run is attempted once per executor.
+:meth:`Executor.execute` fans a plan's missing entries out over a
+process pool, merging results in submission order so the store's
+contents are deterministic regardless of worker completion order.
+Only the executor, in the parent process, writes run entries.
 
 Both live and cached paths return the
 :class:`~repro.gpu.simulator.NetworkResult` decoded from the JSON
@@ -31,7 +31,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.gpu.simulator import L1Memo, NetworkResult
 from repro.obs.tracer import WALL_S, get_tracer
@@ -113,21 +113,31 @@ class Executor:
         self.failed: dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    def run(self, spec: RunSpec, refresh: bool = False) -> NetworkResult:
+    def run(self, spec: RunSpec) -> NetworkResult:
         """Run (or load) one network simulation; a failed run raises
-        :class:`RunFailed`.
-
-        ``refresh=True`` skips the memory and store reads and simulates
-        unconditionally, re-storing the result — the ``repro trace``
-        CLI uses it so a trace always contains live GPU spans even when
-        the run is already cached.  A run that failed on this executor
-        raises again without another attempt, refresh or not.
-        """
-        result = self._lookup(spec, refresh)
+        :class:`RunFailed`, and raises again without another attempt."""
+        result = self._lookup(spec)
         if result is None:
-            (outcome,) = _attempts([spec], self.l1_memo, self.verbose)
-            result = self._settle(spec, *outcome)
+            result = next(self.simulate([spec]))
         return result
+
+    def simulate(self, specs: Sequence[RunSpec]) -> Iterator[NetworkResult]:
+        """Simulate *specs* in order, skipping the memory and store reads
+        and re-storing each result; yields each result once it settles.
+
+        The ``repro trace`` commands use it so a trace always contains
+        live GPU spans even when the runs are already cached.  One
+        attempt loop covers the sequence, so consecutive runs of one
+        network keep their decoded programs, as under :meth:`execute`.
+        A run that failed on this executor raises :class:`RunFailed`
+        before any spec is attempted.
+        """
+        for spec in specs:
+            if spec.key() in self.failed:
+                raise RunFailed(self.failed[spec.key()])
+        outcomes = _attempts(specs, self.l1_memo, self.verbose)
+        for spec, outcome in zip(specs, outcomes):
+            yield self._settle(spec, *outcome)
 
     def execute(self, plan: Plan | Sequence[RunSpec], jobs: int = 1) -> ExecutionReport:
         """Materialize every planned run, fanning misses over *jobs*
@@ -179,13 +189,12 @@ class Executor:
         return report
 
     # ------------------------------------------------------------------
-    def _lookup(self, spec: RunSpec, refresh: bool = False) -> NetworkResult | None:
+    def _lookup(self, spec: RunSpec) -> NetworkResult | None:
         """*spec*'s result from memory or the store; None when it must be
-        attempted, :class:`RunFailed` when it failed here.  ``refresh``
-        skips both reads, not the failure."""
+        attempted, :class:`RunFailed` when it failed here."""
         tracer = get_tracer()
         key = spec.key()
-        cached = None if refresh else self._memory.get(key)
+        cached = self._memory.get(key)
         if cached is not None:
             self.hits += 1
             if tracer.enabled:
@@ -193,7 +202,7 @@ class Executor:
             return cached
         if key in self.failed:
             raise RunFailed(self.failed[key])
-        if refresh or self.store is None:
+        if self.store is None:
             return None
         probe_start = tracer.wall()
         stored = self.store.get_run(spec)

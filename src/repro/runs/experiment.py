@@ -13,13 +13,15 @@ Every paper table and figure is one :class:`Experiment`:
 Experiments never simulate directly: the :class:`RunView` handed to
 ``aggregate``/``checks`` reads through an
 :class:`~repro.runs.executor.Executor`, so a planned-and-executed
-matrix makes aggregation pure cache hits.
+matrix makes aggregation pure cache hits.  One evaluation shares one
+view, and an analysis both halves need goes through :meth:`RunView.memo`,
+so it is computed once per evaluation and never carried to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro.gpu.config import GpuConfig, SimOptions
 from repro.runs.spec import PlanContext, RunSpec
@@ -29,6 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.harness.report import Check, ExperimentResult
     from repro.runs.executor import Executor
 
+T = TypeVar("T")
+
 
 class RunView:
     """Read-only access to planned runs during aggregation.
@@ -36,12 +40,14 @@ class RunView:
     ``view.run(network, config, options)`` mirrors the executor's
     read-through; ``view.ctx`` carries the planning context so
     aggregates iterate the same (possibly restricted) network subset
-    the planner saw.
+    the planner saw.  :func:`run_experiment` makes one view per
+    evaluation, so :meth:`memo` results live exactly as long as it.
     """
 
     def __init__(self, executor: "Executor", ctx: PlanContext) -> None:
         self._executor = executor
         self.ctx = ctx
+        self._memo: dict[tuple, object] = {}
 
     def run(
         self,
@@ -55,6 +61,18 @@ class RunView:
     def nets(self, names: tuple[str, ...]) -> tuple[str, ...]:
         """*names* filtered to the context's network subset."""
         return self.ctx.nets(names)
+
+    def memo(self, analysis: Callable[..., T], *args) -> T:
+        """``analysis(*args)``, computed once per view and *args*; an
+        analysis that reads runs takes the view as an argument.
+
+        ``aggregate`` and ``checks`` both call it, and the second call
+        returns the first call's object: neither may mutate it.
+        """
+        key = (analysis, args)
+        if key not in self._memo:
+            self._memo[key] = analysis(*args)
+        return self._memo[key]  # type: ignore[return-value]
 
 
 #: plan(ctx) -> the runs an experiment requires.

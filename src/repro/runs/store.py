@@ -78,10 +78,14 @@ def result_from_payload(
     """Payload dict -> NetworkResult, or None when malformed.
 
     A :class:`~repro.gpu.simulator.KernelInfo` stands in for each
-    kernel's launch."""
+    kernel's launch.  Each distinct entry is decoded once: an entry
+    whose signature and stats dict equal an earlier entry's gets a copy
+    of that entry's stats, so every launch still owns its
+    :class:`~repro.profiling.stats.KernelStats`."""
     try:
         if payload["engine"] != engine_version():
             return None
+        decoded: dict[str, list[tuple[dict, KernelStats]]] = {}
         return NetworkResult(
             network=payload["network"],
             config=config,
@@ -95,7 +99,7 @@ def result_from_payload(
                         sig=entry["signature"],
                         total_blocks=entry["total_blocks"],
                     ),
-                    stats=KernelStats.from_dict(entry["stats"]),
+                    stats=_entry_stats(entry, decoded),
                     occupancy=Occupancy(**entry["occupancy"]),
                     sample_factor=entry["sample_factor"],
                     block_factor=entry["block_factor"],
@@ -105,6 +109,26 @@ def result_from_payload(
         )
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
+
+
+def _entry_stats(
+    entry: dict, decoded: dict[str, list[tuple[dict, KernelStats]]]
+) -> KernelStats:
+    """*entry*'s stats, decoded or copied from an equal earlier entry.
+
+    *decoded* maps a signature to the ``(stats dict, stats)`` pairs of
+    one payload's entries decoded so far.  The stats dict takes part in
+    the match because a store file is outside input: same-signature
+    entries that differ each decode as stored.
+    """
+    stored = entry["stats"]
+    twins = decoded.setdefault(entry["signature"], [])
+    for earlier, stats in twins:
+        if earlier == stored:
+            return stats.copy()
+    stats = KernelStats.from_dict(stored)
+    twins.append((stored, stats))
+    return stats
 
 
 class ResultStore:

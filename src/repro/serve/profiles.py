@@ -182,9 +182,10 @@ def build_profiles(
     one) to make repeat builds — and builds after a harness sweep over
     the same combos — near-instant.
 
-    ``refresh=True`` re-simulates every pair serially instead of
-    reading the store — ``repro trace serve`` uses it so an installed
-    tracer (:mod:`repro.obs`) always sees the GPU layer.
+    ``refresh=True`` re-simulates every pair serially, through
+    :meth:`~repro.runs.executor.Executor.simulate`, instead of reading
+    the store — ``repro trace serve`` uses it so an installed tracer
+    (:mod:`repro.obs`) always sees the GPU layer.
 
     A pair whose simulation raises (a platform the mapper cannot tile,
     say) is simulated once.  The build then raises
@@ -203,13 +204,16 @@ def build_profiles(
         for name in dict.fromkeys(networks)
         for platform in unique.values()
     ]
-    if not refresh:
+    if refresh:
+        results = executor.simulate(specs)
+    else:
         failed = executor.execute(specs, jobs=jobs).failed
         if failed:
             raise ProfileError("\n".join(failed.values()))
+        results = map(executor.run, specs)
     return {
-        (spec.network, spec.config.name): profile_from_result(executor.run(spec, refresh))
-        for spec in specs
+        (spec.network, spec.config.name): profile_from_result(result)
+        for spec, result in zip(specs, results)
     }
 
 

@@ -271,6 +271,41 @@ class TestRunCampaign:
             b1["latency_ms"] * clock_ghz * 1e6, abs=2.0
         )
 
+    def test_qor_aggregates_each_run_once(self, monkeypatch):
+        from collections import Counter
+
+        from repro.gpu.simulator import NetworkResult
+        from repro.power.accel import power_model_for
+        from repro.serve.profiles import profile_from_result
+
+        real = NetworkResult.aggregate
+        aggregated: Counter = Counter()
+
+        def counted(result):
+            aggregated[(result.network, result.config.l1_size)] += 1
+            return real(result)
+
+        monkeypatch.setattr(NetworkResult, "aggregate", counted)
+        spec = campaign_from_dict(spec_dict(network=["gru"], l1_kb=[16, 64], batch=[1, 8]))
+        executor = Executor()
+        result = run_campaign(spec, executor=executor)
+        # Four points over two runs: the latency profile's energy split
+        # is the only aggregate of each run.
+        assert len(result.rows) == 4
+        assert sorted(aggregated.values()) == [1, 1]
+        monkeypatch.undo()
+        for row, run in zip(result.rows, result.plan.specs_by_point):
+            # The energy metrics as priced from a second aggregate.
+            stored = executor.run(run)
+            power = power_model_for(stored.config)
+            batch = row.point.batch
+            latency_ms = profile_from_result(stored).latency_ms(batch)
+            energy_j = (power.dynamic_energy_joules(stored.aggregate()) * batch
+                        + power.static_watts * latency_ms / 1e3)
+            assert row.metrics["energy_j"] == round(energy_j, 6)
+            assert row.metrics["energy_per_inf_j"] == round(energy_j / batch, 6)
+            assert row.metrics["edp_js"] == round(energy_j / batch * latency_ms / 1e3, 6)
+
     def test_failed_run_skips_points_not_campaign(self, tmp_path, monkeypatch):
         import repro.runs.executor as executor_mod
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.suite import list_networks
+from repro.core.graph import INPUT, NetworkGraph
+from repro.core.layers.defs import Concat, Eltwise, ReLU
+from repro.core.suite import EXTENSION_NETWORKS, get_network, list_networks
 from repro.gpu import SimOptions, simulate_network
 from repro.isa.dtypes import DType
 from repro.isa.opcodes import Pipe
@@ -19,7 +24,11 @@ from repro.profiling.instmix import (
     program_histogram,
     top_ops,
 )
-from repro.profiling.memfootprint import footprint, peak_activation_bytes
+from repro.profiling.memfootprint import (
+    all_activation_bytes,
+    footprint,
+    peak_activation_bytes,
+)
 from repro.profiling.nvprof import format_profile, profiles_from_result
 from repro.profiling.stall import FIGURE7_ORDER, StallReason
 from repro.profiling.stats import KernelStats
@@ -73,7 +82,60 @@ class TestInstMix:
         assert a is b
 
 
+def _reference_peak_activation_bytes(graph: NetworkGraph) -> int:
+    """The quadratic live-set walk: every live tensor re-sized at every
+    layer (the reference for the incremental walk)."""
+    def size(name: str) -> int:
+        shape = graph.input_shape if name == INPUT else graph.out_shape(name)
+        return 4 * int(np.prod(shape))
+
+    last_use: dict[str, int] = {}
+    for index, node in enumerate(graph.nodes):
+        for src in node.inputs:
+            last_use[src] = index
+    live: set[str] = {INPUT}
+    peak = 0
+    for index, node in enumerate(graph.nodes):
+        live.add(node.name)
+        peak = max(peak, sum(size(name) for name in live))
+        live = {name for name in live if last_use.get(name, -1) > index}
+        live.add(node.name)
+    return peak
+
+
+@st.composite
+def _dags(draw) -> NetworkGraph:
+    """Random layer DAGs: ReLUs, and joins of any two earlier tensors
+    (an eltwise add where shapes agree, a concat where they do not)."""
+    graph = NetworkGraph("random", (draw(st.integers(1, 4)), 2, 3))
+    names = [INPUT]
+    for index in range(draw(st.integers(1, 16))):
+        first = draw(st.sampled_from(names))
+        if draw(st.booleans()):
+            layer, inputs = ReLU(), (first,)
+        else:
+            second = draw(st.sampled_from(names))
+            same = graph.out_shape(first) == graph.out_shape(second)
+            layer, inputs = (Eltwise() if same else Concat()), (first, second)
+        names.append(graph.add(f"n{index}", layer, inputs))
+    return graph
+
+
 class TestFootprint:
+    @pytest.mark.parametrize("name", list_networks() + EXTENSION_NETWORKS)
+    def test_walk_matches_the_reference_on_every_network(self, name):
+        graph = get_network(name)
+        assert peak_activation_bytes(graph) == _reference_peak_activation_bytes(graph)
+        assert all_activation_bytes(graph) == 4 * sum(
+            int(np.prod(graph.out_shape(name)))
+            for name in (INPUT, *(node.name for node in graph.nodes))
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=_dags())
+    def test_walk_matches_the_reference_on_random_dags(self, graph):
+        assert peak_activation_bytes(graph) == _reference_peak_activation_bytes(graph)
+
     def test_rnn_under_500kb(self):
         assert footprint("gru").total_kb < 500
         assert footprint("lstm").total_kb < 500

@@ -67,11 +67,11 @@ class TestExecutorAttemptsOnce:
         report = executor.execute([self.GOOD, self.BAD], jobs=jobs)
         assert (report.fresh, report.cached) == (1, 0)
         assert report.failed == {self.BAD.key(): self.LINE}
-        # run() after execute(), with or without refresh: the recorded
-        # line, no second attempt.
-        for refresh in (False, True):
+        # run() or simulate() after execute(): the recorded line, no
+        # second attempt.
+        for attempt in (executor.run, lambda spec: next(executor.simulate([spec]))):
             with pytest.raises(RunFailed) as raised:
-                executor.run(self.BAD, refresh=refresh)
+                attempt(self.BAD)
             assert str(raised.value) == self.LINE
         # A second pass reports the failure without attempting it.
         again = executor.execute([self.GOOD, self.BAD], jobs=jobs)

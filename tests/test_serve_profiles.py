@@ -6,8 +6,9 @@ import pytest
 
 import repro.runs.executor as executor_mod
 from repro.gpu.simulator import simulate_network
+from repro.obs import capture_trace
 from repro.runs import ResultStore
-from repro.platforms import GP102, make_config
+from repro.platforms import GP102, TX1, make_config
 from repro.serve.profiles import (
     LatencyProfile,
     ProfileError,
@@ -65,6 +66,16 @@ class TestBuildProfiles:
         assert warm.run_hits > 0 and warm.run_stores == 0
         key = ("gru", "GP102")
         assert second[key].latency_ms(4) == first[key].latency_ms(4)
+
+    def test_refresh_keeps_decoded_programs_across_platforms(self, light_options, tmp_path):
+        # One attempt loop covers the refreshed pairs, so TX1's run of
+        # CifarNet takes GP102's nine decoded programs.
+        store = ResultStore(tmp_path)
+        build_profiles(["cifarnet"], [GP102, TX1], light_options, store)
+        with capture_trace(warps=False) as tracer:
+            build_profiles(["cifarnet"], [GP102, TX1], light_options, store, refresh=True)
+        assert tracer.metrics.counter("runs.fresh").value == 2
+        assert tracer.metrics.counter("gpu.program_reused").value == 9
 
     def test_extension_networks_are_first_class(self, light_options):
         # The satellite requirement: mobilenet profiles build exactly

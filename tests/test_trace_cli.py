@@ -122,6 +122,9 @@ class TestTraceSimulate:
         counters = payload["metrics"]["counters"]
         assert counters["gpu.wave_l1_reused"]["value"] == reused
         assert counters["gpu.kernel_l1_reuse"]["value"] == reused
+        # One attempt loop covers the sweep: 64 KB takes the bypassed
+        # run's nine decoded programs (128 KB replays waves, needing none).
+        assert counters["gpu.program_reused"]["value"] == 9
 
     def test_tags_kernels_served_from_the_runs_wave_cache(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
