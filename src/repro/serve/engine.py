@@ -10,8 +10,9 @@ One :class:`ServeSim` run drives the staged request pipeline
   O(fleet) deep);
 * **flush** — a dynamic-batch deadline: an idle device launches its
   timed-out partial batch instead of waiting for it to fill;
-* **complete** — a batch retires: per-request latencies, per-tenant
-  SLO outcomes and energy shares are recorded, closed-loop clients
+* **complete** — a batch retires: per-request latencies (packed into
+  the run's :class:`~repro.serve.stats.LatencyLog`), per-tenant SLO
+  outcomes and energy shares are recorded, closed-loop clients
   think-and-reissue, and the freed device immediately launches its
   next ready batch (or schedules a flush for the earliest deadline);
 * **tick** — the autoscaler (when configured) reads the fleet signals
@@ -38,7 +39,8 @@ queue-wait span (arrival → launch) and an execute span nested inside
 its batch's span, all in simulated milliseconds
 (:data:`repro.obs.tracer.SIM_MS`), plus shed/SLO counters (sheds also
 by reason), batch-size, latency and per-tenant latency histograms, a
-per-device queue-depth gauge and a fleet-size gauge.
+per-device queue-depth gauge set on every enqueue and every launch, and
+a fleet-size gauge.
 """
 
 from __future__ import annotations
@@ -59,11 +61,10 @@ from repro.serve.profiles import LatencyProfile, profiles_for_platform
 from repro.serve.schedulers import make_scheduler
 from repro.serve.stats import (
     DeviceServeStats,
+    LatencyLog,
+    LatencySummary,
     ServeStats,
     TenantServeStats,
-    downsample,
-    latency_summary,
-    percentile,
 )
 from repro.serve.tenants import (
     DEFAULT_TENANT_NAME,
@@ -103,20 +104,20 @@ class _TenantAcc:
     """Per-tenant accumulators of one run (hot-path mutable state)."""
 
     __slots__ = (
-        "tenant", "reissue", "offered", "shed", "violations", "energy_j",
-        "latencies",
+        "tenant", "reissue", "code", "offered", "shed", "violations", "energy_j",
     )
 
-    def __init__(self, tenant: Tenant, reissue: bool) -> None:
+    def __init__(self, tenant: Tenant, reissue: bool, code: int) -> None:
         self.tenant = tenant
         #: The tenant's stream is closed-loop: its completions and sheds
         #: go to ``Workload.on_completion`` for a reissue.
         self.reissue = reissue
+        #: The tenant's code in the run's :class:`LatencyLog`.
+        self.code = code
         self.offered = 0
         self.shed = 0
         self.violations = 0
         self.energy_j = 0.0
-        self.latencies: list[float] = []
 
 
 class ServeSim:
@@ -155,6 +156,10 @@ class ServeSim:
                     "no latency profiles for autoscale template "
                     f"{scaler.config.template!r}"
                 )
+        #: Every network a device of this run can serve.
+        self._networks = {network for slice_ in self._slices for network in slice_}
+        if scaler is not None:
+            self._networks.update(self._template_slice)
         self.devices: list[DeviceState] = []
 
     # ------------------------------------------------------------------
@@ -209,8 +214,11 @@ class ServeSim:
             streams = workload.parts
         else:
             streams = ((default_tenant(config.slo_ms), workload),)
+        self._log = LatencyLog(self._networks, [tenant.name for tenant, _ in streams])
         self._tacc = {
-            tenant.name: _TenantAcc(tenant, stream.closed_loop)
+            tenant.name: _TenantAcc(
+                tenant, stream.closed_loop, self._log.tenant_code[tenant.name]
+            )
             for tenant, stream in streams
         }
         self._issued = 0
@@ -218,8 +226,6 @@ class ServeSim:
         self._shed = 0
         self._violations = 0
         self._clock = 0.0
-        self._latencies: list[float] = []
-        self._per_network: dict[str, list[float]] = {}
         self._shed_reasons: dict[str, int] = {}
         self._pending_total = 0
         self._accepting_count = len(self.devices)
@@ -335,6 +341,9 @@ class ServeSim:
                 args={"request": request.id, "device": state.device.name},
             )
             tracer.metrics.counter("serve.enqueued").inc()
+            tracer.metrics.gauge(
+                f"serve.queue_depth.{state.device.name}", domain=SIM_MS
+            ).set(float(state.pending), now)
         if not state.busy:
             self._dispatch(state, index, now, queue)
 
@@ -360,20 +369,21 @@ class ServeSim:
         profile = state.profiles[first.network]
         share = profile.dynamic_j + state.static_watts * duration / 1e3 / size
         finish = first.finish_ms
-        latencies = self._latencies
+        log = self._log
+        record_latency = log.latencies.append
+        record_network = log.network_codes.append
+        record_tenant = log.tenant_codes.append
         # A batch holds one network's requests.
-        network_lats = self._per_network.get(first.network)
-        if network_lats is None:
-            network_lats = self._per_network[first.network] = []
+        network = log.network_code[first.network]
         tacc = self._tacc
         obs = self._obs
         violations = 0
         for request in batch:
             latency = finish - request.arrival_ms
-            latencies.append(latency)
-            network_lats.append(latency)
+            record_latency(latency)
+            record_network(network)
             acc = tacc[request.tenant]
-            acc.latencies.append(latency)
+            record_tenant(acc.code)
             acc.energy_j += share
             if latency > acc.tenant.slo_ms:
                 acc.violations += 1
@@ -523,12 +533,13 @@ class ServeSim:
         queue.push(finish, COMPLETE, (index, batch))
 
     # ------------------------------------------------------------------
-    def _tenant_stats(self) -> dict[str, TenantServeStats]:
+    def _tenant_stats(
+        self, summaries: Mapping[str, LatencySummary]
+    ) -> dict[str, TenantServeStats]:
         per_tenant: dict[str, TenantServeStats] = {}
-        for name in sorted(self._tacc):
+        for name, tail in summaries.items():
             acc = self._tacc[name]
-            ordered = sorted(acc.latencies)
-            completed = len(ordered)
+            completed = tail.completed
             per_tenant[name] = TenantServeStats(
                 name=name,
                 slo_ms=acc.tenant.slo_ms,
@@ -537,11 +548,11 @@ class ServeSim:
                 completed=completed,
                 shed=acc.shed,
                 slo_violations=acc.violations,
-                latency_p50_ms=percentile(ordered, 50),
-                latency_p95_ms=percentile(ordered, 95),
-                latency_p99_ms=percentile(ordered, 99),
-                latency_mean_ms=sum(ordered) / completed if completed else 0.0,
-                latency_max_ms=ordered[-1] if ordered else 0.0,
+                latency_p50_ms=tail.p50_ms,
+                latency_p95_ms=tail.p95_ms,
+                latency_p99_ms=tail.p99_ms,
+                latency_mean_ms=tail.mean_ms,
+                latency_max_ms=tail.max_ms,
                 energy_j=acc.energy_j,
                 cost_per_request_j=acc.energy_j / completed if completed else 0.0,
             )
@@ -550,8 +561,8 @@ class ServeSim:
     def _build_stats(self) -> ServeStats:
         duration = self._clock
         duration_s = duration / 1e3 if duration > 0 else 0.0
-        ordered = sorted(self._latencies)
-        completed = len(ordered)
+        fleet, per_network, per_tenant = self._log.summaries(self.config.slo_ms)
+        completed = fleet.completed
         violations = self._violations
         good = completed - violations
         for state in self.devices:
@@ -566,7 +577,7 @@ class ServeSim:
                 busy_ms=state.busy_ms,
                 utilization=state.busy_ms / duration if duration > 0 else 0.0,
                 mean_batch=state.served / state.batches if state.batches else 0.0,
-                queue_depth=downsample(state.timeline.points),
+                queue_depth=state.timeline.downsample(),
                 active_ms=state.active_ms,
                 energy_j=state.energy_j(),
             )
@@ -593,19 +604,18 @@ class ServeSim:
             shed=self._shed,
             slo_violations=violations,
             duration_ms=duration,
-            latency_p50_ms=percentile(ordered, 50),
-            latency_p95_ms=percentile(ordered, 95),
-            latency_p99_ms=percentile(ordered, 99),
-            latency_mean_ms=sum(ordered) / completed if completed else 0.0,
-            latency_max_ms=ordered[-1] if ordered else 0.0,
+            latency_p50_ms=fleet.p50_ms,
+            latency_p95_ms=fleet.p95_ms,
+            latency_p99_ms=fleet.p99_ms,
+            latency_mean_ms=fleet.mean_ms,
+            latency_max_ms=fleet.max_ms,
             throughput_rps=completed / duration_s if duration_s else 0.0,
             goodput_rps=good / duration_s if duration_s else 0.0,
             devices=devices,
             per_network={
-                network: latency_summary(values, self.config.slo_ms)
-                for network, values in sorted(self._per_network.items())
+                network: tail.breakdown() for network, tail in per_network.items()
             },
-            per_tenant=self._tenant_stats(),
+            per_tenant=self._tenant_stats(per_tenant),
             shed_reasons={
                 reason: self._shed_reasons[reason]
                 for reason in sorted(self._shed_reasons)

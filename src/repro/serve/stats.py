@@ -8,6 +8,10 @@ wholesale).  Shed requests never enter a latency sample; they count
 only in ``offered`` and therefore in the offered-based ratios
 (``goodput_ratio``), never in percentiles.
 
+A run keeps what these containers summarize in packed buffers: one
+float64 per completed request in :class:`LatencyLog`, and the
+stride-sampled depth points of each device in :class:`DepthTimeline`.
+
 The ``repro serve --json`` schema is the :meth:`ServeStats.to_dict`
 tree; every key is documented on the field it serializes.
 :meth:`ServeStats.digest` hashes the canonical JSON form — the
@@ -18,30 +22,130 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]) of a sorted sample."""
-    if not sorted_values:
+    """Nearest-rank percentile (``q`` in [0, 100]) of a sorted sample
+    (a sequence or a 1-D array)."""
+    count = len(sorted_values)
+    if not count:
         return 0.0
     if not 0 <= q <= 100:
         raise ValueError("q must be in [0, 100]")
-    rank = max(1, -(-len(sorted_values) * q // 100))  # ceil without floats
-    return sorted_values[int(rank) - 1]
+    rank = max(1, -(-count * q // 100))  # ceil without floats
+    return float(sorted_values[int(rank) - 1])
 
 
-def downsample(timeline: list[tuple[float, int]], limit: int = 128) -> list[tuple[float, int]]:
-    """Stride-sample a (time, depth) timeline to at most *limit* points,
-    always keeping the final point."""
-    if len(timeline) <= limit:
-        return list(timeline)
-    stride = -(-len(timeline) // limit)
-    sampled = timeline[::stride]
-    if sampled[-1] != timeline[-1]:
-        sampled.append(timeline[-1])
-    return sampled
+class LatencySummary(NamedTuple):
+    """Tails of one latency sample; every field is a Python number."""
+
+    completed: int
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
+    mean_ms: float
+    max_ms: float
+    #: Samples strictly above the ``slo_ms`` given to :func:`summarize`.
+    slo_violations: int
+
+    def breakdown(self) -> dict:
+        """The ``per_network.<name>`` entry of :meth:`ServeStats.to_dict`."""
+        return {
+            "completed": self.completed,
+            "p50_ms": self.p50_ms,
+            "p95_ms": self.p95_ms,
+            "p99_ms": self.p99_ms,
+            "mean_ms": self.mean_ms,
+            "slo_violations": self.slo_violations,
+        }
+
+
+def summarize(sample: np.ndarray, slo_ms: float) -> LatencySummary:
+    """Sort the float64 *sample* in place and summarize it.
+
+    Every field equals what sorting a Python list of the same floats
+    gives: equal values sort to one order, the percentiles and maximum
+    read the same elements, and the mean is the builtin ``sum`` over the
+    sorted values — it iterates the buffer as Python floats, so it makes
+    the same additions in the same order (``np.sum`` adds pairwise and
+    can differ in the last bits).
+    """
+    sample.sort()
+    count = len(sample)
+    if not count:
+        return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    return LatencySummary(
+        completed=count,
+        p50_ms=percentile(sample, 50),
+        p95_ms=percentile(sample, 95),
+        p99_ms=percentile(sample, 99),
+        mean_ms=sum(sample.data) / count,
+        max_ms=float(sample[-1]),
+        slo_violations=count - int(np.searchsorted(sample, slo_ms, side="right")),
+    )
+
+
+def _code_array(count: int) -> array:
+    """An empty array wide enough for *count* distinct codes."""
+    return array("B" if count <= 256 else "L")
+
+
+class LatencyLog:
+    """The latency of every completed request of one run, packed.
+
+    Each completed request appends one float64 to ``latencies`` and its
+    network's and tenant's codes (positions in the sorted ``networks``
+    and ``tenants``) to ``network_codes`` and ``tenant_codes``: about
+    10 bytes, where a Python float would take 24 bytes plus 8 per list
+    holding it.  The engine appends to the three arrays directly on its
+    hot path.
+    """
+
+    __slots__ = (
+        "networks", "tenants", "network_code", "tenant_code",
+        "latencies", "network_codes", "tenant_codes",
+    )
+
+    def __init__(self, networks: Iterable[str], tenants: Iterable[str]) -> None:
+        self.networks = sorted(set(networks))
+        self.tenants = sorted(set(tenants))
+        self.network_code = {name: code for code, name in enumerate(self.networks)}
+        self.tenant_code = {name: code for code, name in enumerate(self.tenants)}
+        self.latencies = array("d")
+        self.network_codes = _code_array(len(self.networks))
+        self.tenant_codes = _code_array(len(self.tenants))
+
+    def summaries(
+        self, slo_ms: float
+    ) -> tuple[LatencySummary, dict[str, LatencySummary], dict[str, LatencySummary]]:
+        """Fleet, per-network and per-tenant summaries against *slo_ms*.
+
+        Networks with no completed request are left out; every tenant is
+        kept.  Each sample (the whole log for the fleet, a mask's
+        selection for a network or a tenant) is copied out and sorted in
+        its own buffer, one at a time, so the log keeps its order and no
+        view of it outlives the call: an array with a live view refuses
+        ``append``.
+        """
+        latencies = np.frombuffer(self.latencies, dtype=np.float64)
+        fleet = summarize(latencies.copy(), slo_ms)
+        per_network: dict[str, LatencySummary] = {}
+        codes = np.frombuffer(self.network_codes, dtype=self.network_codes.typecode)
+        for code, name in enumerate(self.networks):
+            sample = latencies[codes == code]
+            if len(sample):
+                per_network[name] = summarize(sample, slo_ms)
+        codes = np.frombuffer(self.tenant_codes, dtype=self.tenant_codes.typecode)
+        per_tenant = {
+            name: summarize(latencies[codes == code], slo_ms)
+            for code, name in enumerate(self.tenants)
+        }
+        return fleet, per_network, per_tenant
 
 
 class DepthTimeline:
@@ -53,27 +157,42 @@ class DepthTimeline:
     reaches ``2 * limit`` points, drops every other retained point and
     doubles the stride — a deterministic online downsample whose output
     depends only on the sequence of ``record`` calls, so a fixed seed
-    reproduces it bit-identically.
+    reproduces it bit-identically.  The retained points live in two
+    parallel arrays, ``times`` (float64) and ``depths`` (int64).
     """
 
-    __slots__ = ("limit", "stride", "_count", "points")
+    __slots__ = ("limit", "stride", "_count", "times", "depths")
 
     def __init__(self, limit: int = 1024) -> None:
         self.limit = limit
         self.stride = 1
         self._count = 0
-        self.points: list[tuple[float, int]] = [(0.0, 0)]
+        self.times = array("d", (0.0,))
+        self.depths = array("q", (0,))
 
     def record(self, time_ms: float, depth: int) -> None:
         count = self._count
         self._count = count + 1
         if count % self.stride:
             return
-        points = self.points
-        points.append((time_ms, depth))
-        if len(points) >= 2 * self.limit:
-            del points[::2]
+        times = self.times
+        times.append(time_ms)
+        self.depths.append(depth)
+        if len(times) >= 2 * self.limit:
+            del times[::2]
+            del self.depths[::2]
             self.stride *= 2
+
+    def downsample(self, limit: int = 128) -> list[tuple[float, int]]:
+        """Stride-sample the retained ``(time, depth)`` points to at most
+        *limit* points, plus the final point when the stride skips it."""
+        times, depths = self.times, self.depths
+        stride = -(-len(times) // limit)
+        sampled = list(zip(times[::stride], depths[::stride]))
+        last = (times[-1], depths[-1])
+        if sampled[-1] != last:
+            sampled.append(last)
+        return sampled
 
 
 @dataclass
@@ -386,18 +505,3 @@ class ServeStats:
             f"slo={self.slo_attainment:.1%} "
             f"goodput={self.goodput_rps:.1f}rps shed={self.shed}"
         )
-
-
-def latency_summary(latencies: list[float], slo_ms: float) -> dict:
-    """p50/p95/p99/mean summary of one latency sample (helper for the
-    per-network breakdown)."""
-    ordered = sorted(latencies)
-    count = len(ordered)
-    return {
-        "completed": count,
-        "p50_ms": percentile(ordered, 50),
-        "p95_ms": percentile(ordered, 95),
-        "p99_ms": percentile(ordered, 99),
-        "mean_ms": sum(ordered) / count if count else 0.0,
-        "slo_violations": sum(1 for value in ordered if value > slo_ms),
-    }

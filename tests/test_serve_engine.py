@@ -7,13 +7,16 @@ behaviour can be asserted to the millisecond.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import replace
 from random import Random
 
 import pytest
 
+from repro.obs import SIM_MS, capture_trace
 from repro.platforms import make_config, register_platform, unregister_platform
 from repro.serve import (
+    SCHEDULERS,
     AutoscaleConfig,
     BurstyWorkload,
     ClosedLoopWorkload,
@@ -351,3 +354,89 @@ class TestQueueingOracle:
         mean = _md1_mean_latency(rho, 200_000, seed, tiny_gpu)
         expected = _pollaczek_khinchine_ms(rho)
         assert abs(mean - expected) / expected < 0.02
+
+
+def _traced_two_tenant_run(scheduler: str, requests: int):
+    """A two-tenant run on an autoscaled 3x GP102 fleet (synthetic
+    profiles), recorded by a tracer."""
+    fleet = build_fleet("gp102:3")
+    profiles = {
+        ("cnn", "GP102"): make_profile("cnn", "GP102", 4.0, 0.75),
+        ("rnn", "GP102"): make_profile("rnn", "GP102", 1.5, 0.1),
+    }
+    parts = [
+        (Tenant("steady", 30.0, 0),
+         PoissonWorkload(500.0, requests // 2, ["cnn", "rnn"], weights=[3.0, 1.0])),
+        (Tenant("bursty", 15.0, 1),
+         BurstyWorkload(1500.0, requests - requests // 2, ["rnn", "cnn"],
+                        on_ms=40.0, off_ms=120.0, off_factor=0.2)),
+    ]
+    config = ServeConfig(
+        slo_ms=30.0, max_batch=4, batch_timeout_ms=1.5, max_queue=16,
+        scheduler=scheduler, seed=17,
+    )
+    pipeline = make_pipeline(
+        autoscale=AutoscaleConfig(
+            template="gp102", min_devices=2, max_devices=5, interval_ms=40.0,
+            cooldown_ms=80.0, up_queue_depth=3.0, down_queue_depth=1.0,
+        ),
+    )
+    with capture_trace(warps=False) as tracer:
+        stats = run_serve(fleet, profiles, MultiTenantWorkload(parts), config, pipeline)
+    return tracer, stats
+
+
+def _step_area(points) -> float:
+    """Area under a step series of ``(time, value)`` points, each value
+    holding until the next point's time."""
+    return sum(
+        value * (end - start) for (start, value), (end, _) in zip(points, points[1:])
+    )
+
+
+class TestLittlesLaw:
+    """Little's law per device: a queue-depth series that records every
+    change integrates to the requests' summed queue waits, since each
+    request adds one to the depth from its arrival to its launch."""
+
+    def _waits_and_gauges(self, scheduler: str, requests: int):
+        tracer, stats = _traced_two_tenant_run(scheduler, requests)
+        waits: dict[str, float] = defaultdict(float)
+        for span in tracer.spans:
+            if span.cat == "queue":
+                waits[span.thread.removesuffix(" queue")] += span.dur
+        gauges = {
+            device.name: tracer.metrics.gauge(
+                f"serve.queue_depth.{device.name}", domain=SIM_MS
+            ).timeline
+            for device in stats.devices
+        }
+        return stats, waits, gauges
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_gauge_area_equals_summed_queue_waits(self, scheduler):
+        stats, waits, gauges = self._waits_and_gauges(scheduler, 1500)
+        assert {event[1] for event in stats.autoscale["events"]} == {1, -1}
+        assert stats.shed < stats.offered
+        assert sum(waits.values()) > 0
+        for device in stats.devices:
+            timeline = gauges[device.name]
+            assert not timeline or timeline[-1][1] == 0.0
+            assert _step_area(timeline) == pytest.approx(
+                waits[device.name], rel=1e-9, abs=1e-12
+            ), device.name
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_unsampled_queue_depth_area_equals_summed_queue_waits(self, scheduler):
+        stats, waits, gauges = self._waits_and_gauges(scheduler, 150)
+        for device in stats.devices:
+            # Small enough that the report keeps every point: the start,
+            # one per enqueue and one per launch.
+            assert len(device.queue_depth) == 1 + device.requests + device.batches
+            assert _step_area(device.queue_depth) == pytest.approx(
+                waits[device.name], rel=1e-9, abs=1e-12
+            ), device.name
+            assert _step_area(gauges[device.name]) == pytest.approx(
+                waits[device.name], rel=1e-9, abs=1e-12
+            ), device.name
+
